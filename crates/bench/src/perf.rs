@@ -76,8 +76,9 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use rvcore::{DetectorConfig, RaceDetector, WindowMode};
+pub use rvsim::workloads::handoff::double_flag_workload;
 use rvsim::workloads::Workload;
-use rvtrace::{parse_json, ThreadId, TraceBuilder};
+use rvtrace::parse_json;
 
 use crate::stream::racy_stream_workload;
 use crate::tier::flag_handoff_workload;
@@ -115,62 +116,6 @@ impl Default for PerfBenchOptions {
             jobs: 4,
             warmup_iters: 1,
         }
-    }
-}
-
-/// Builds a *double-justifier* flag-handoff workload: the same shape as
-/// [`flag_handoff_workload`] — a sync-free racy head plus `pairs` ×
-/// `blocks` lock-protected message-passing rounds — except the producer
-/// publishes each flag **twice**, in two separate critical sections:
-///
-/// ```text
-/// producer_j:  w y_jk 1;  acq l_j; w f_jk 1; rel l_j;  acq l_j; w f_jk 1; rel l_j
-/// consumer_j:  acq l_j;  r f_jk 1;  rel l_j;  branch;  r y_jk 1
-/// ```
-///
-/// The payload COP `(w y_jk, r y_jk)` still survives the quick check (no
-/// common lock) and is still `Unsat` — *every* same-value justifier of
-/// the forced flag read sits between the payload write and the payload
-/// read — but Tier B's entailment refuter only orders reads with a
-/// *unique* justifier, so the COP lands in the residue and reaches the
-/// sliced incremental solver. That makes this the workload where the
-/// session machinery (shared skeleton, per-COP assumption queries,
-/// learnt-clause retention) actually runs.
-pub fn double_flag_workload(name: &str, pairs: usize, blocks: usize) -> Workload {
-    assert!(pairs >= 1 && blocks >= 1);
-    let mut b = TraceBuilder::new();
-    let h = b.var("h");
-    let main = ThreadId::MAIN;
-    let reader = b.fork(main);
-    let producers: Vec<ThreadId> = (0..pairs).map(|_| b.fork(main)).collect();
-    let consumers: Vec<ThreadId> = (0..pairs).map(|_| b.fork(main)).collect();
-    let locks: Vec<_> = (0..pairs).map(|j| b.new_lock(&format!("l{j}"))).collect();
-
-    // The head: one real race (Tier A's territory under the cascade).
-    b.write(main, h, 1);
-    b.read(reader, h, 1);
-
-    for k in 0..blocks {
-        for j in 0..pairs {
-            let y = b.var(&format!("y{j}_{k}"));
-            let f = b.var(&format!("f{j}_{k}"));
-            b.write(producers[j], y, 1);
-            b.acquire(producers[j], locks[j]);
-            b.write(producers[j], f, 1);
-            b.release(producers[j], locks[j]);
-            b.acquire(producers[j], locks[j]);
-            b.write(producers[j], f, 1);
-            b.release(producers[j], locks[j]);
-            b.acquire(consumers[j], locks[j]);
-            b.read(consumers[j], f, 1);
-            b.release(consumers[j], locks[j]);
-            b.branch(consumers[j]);
-            b.read(consumers[j], y, 1);
-        }
-    }
-    Workload {
-        name: name.to_string(),
-        trace: b.finish(),
     }
 }
 

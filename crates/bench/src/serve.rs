@@ -41,8 +41,9 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use rvcore::{DetectorConfig, RaceDetector, SessionConfig, SessionManager};
+pub use rvsim::workloads::handoff::tenant_mix_workload;
 use rvsim::workloads::Workload;
-use rvtrace::{parse_json, ThreadId, TraceBuilder};
+use rvtrace::parse_json;
 
 /// Version of the `BENCH_pr7.json` document. Bumped on any incompatible
 /// change (key renames, section shape).
@@ -74,62 +75,6 @@ impl Default for ServeBenchOptions {
             solver_timeout: Duration::from_secs(10),
             window_size: 300,
         }
-    }
-}
-
-/// Builds a tenant-mix workload: the per-session traffic shape the daemon
-/// sees in practice, with every COP class represented. A sync-free racy
-/// pair on `h` at the head (a real race, found in window 0), then `rounds`
-/// rounds across three threads, each mixing a lock-protected shared
-/// counter (quick-check territory), a flag handoff whose payload COP
-/// survives the quick check but is entailment-refuted through the forced
-/// flag read (Tier B / solver territory), and race-free thread-local
-/// filler. Variables are distinct per round so every round contributes
-/// fresh COPs and windows stay busy.
-pub fn tenant_mix_workload(name: &str, rounds: usize) -> Workload {
-    assert!(rounds >= 1);
-    let mut b = TraceBuilder::new();
-    let main = ThreadId::MAIN;
-    let t2 = b.fork(main);
-    let t3 = b.fork(main);
-    let lock = b.new_lock("m");
-
-    // The head: one real race, confirmable by a sync-preserving reordering.
-    let h = b.var("h");
-    b.write(main, h, 1);
-    b.write(t2, h, 2);
-
-    for k in 0..rounds {
-        // Lock-protected shared counter: the quick check kills these COPs.
-        let g = b.var(&format!("g{k}"));
-        b.acquire(main, lock);
-        b.write(main, g, 1);
-        b.release(main, lock);
-        b.acquire(t2, lock);
-        b.read(t2, g, 1);
-        b.release(t2, lock);
-        // Flag handoff: the payload COP survives the quick check but the
-        // branch forces the flag read, entailing the handoff order.
-        let y = b.var(&format!("y{k}"));
-        let f = b.var(&format!("f{k}"));
-        b.write(t2, y, 1);
-        b.acquire(t2, lock);
-        b.write(t2, f, 1);
-        b.release(t2, lock);
-        b.acquire(t3, lock);
-        b.read(t3, f, 1);
-        b.release(t3, lock);
-        b.branch(t3);
-        b.read(t3, y, 1);
-        // Race-free thread-local filler.
-        let a = b.var(&format!("a{k}"));
-        let c = b.var(&format!("c{k}"));
-        b.write(main, a, k as i64);
-        b.write(t3, c, k as i64);
-    }
-    Workload {
-        name: name.to_string(),
-        trace: b.finish(),
     }
 }
 

@@ -46,8 +46,9 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use rvcore::{DetectorConfig, RaceDetector};
+pub use rvsim::workloads::handoff::flag_handoff_workload;
 use rvsim::workloads::Workload;
-use rvtrace::{parse_json, ThreadId, TraceBuilder};
+use rvtrace::parse_json;
 
 /// Version of the `BENCH_pr6.json` document. Bumped on any incompatible
 /// change (key renames, section shape).
@@ -71,63 +72,6 @@ impl Default for TierBenchOptions {
             solver_timeout: Duration::from_secs(10),
             jobs: 4,
         }
-    }
-}
-
-/// Builds a flag-handoff workload: a sync-free racy pair on `h` at the
-/// head, then `pairs` producer/consumer thread pairs each running `blocks`
-/// rounds of lock-protected message passing. Per round `k`, the producer
-/// writes a payload `y` *outside* its critical section and publishes a
-/// fresh flag `f` inside it; the consumer reads the flag inside its own
-/// critical section, branches on it, and only then reads the payload:
-///
-/// ```text
-/// producer_j:  w y_jk 1;  acq l_j;  w f_jk 1;  rel l_j
-/// consumer_j:  acq l_j;  r f_jk 1;  rel l_j;  branch;  r y_jk 1
-/// ```
-///
-/// The flag COP dies in the quick check (common lock). The payload COP
-/// `(w y_jk, r y_jk)` survives it — no common lock, no MHB — but the
-/// branch forces the flag read, whose unique same-value justifier is the
-/// producer's flag write, entailing `w y_jk → w f_jk → r f_jk → r y_jk`
-/// in every sound reordering: Tier B refutes it, and so does the solver.
-/// Payload and flag variables are distinct per round so every block is
-/// its own COP with its own unique justifier.
-pub fn flag_handoff_workload(name: &str, pairs: usize, blocks: usize) -> Workload {
-    assert!(pairs >= 1 && blocks >= 1);
-    let mut b = TraceBuilder::new();
-    let h = b.var("h");
-    let main = ThreadId::MAIN;
-    let reader = b.fork(main);
-    let producers: Vec<ThreadId> = (0..pairs).map(|_| b.fork(main)).collect();
-    let consumers: Vec<ThreadId> = (0..pairs).map(|_| b.fork(main)).collect();
-    let locks: Vec<_> = (0..pairs).map(|j| b.new_lock(&format!("l{j}"))).collect();
-
-    // The head: the one real race, confirmable by a sync-preserving
-    // reordering (Tier A's territory).
-    b.write(main, h, 1);
-    b.read(reader, h, 1);
-
-    // The handoff tail, round-robin across the pairs so every window
-    // carries blocks from every pair.
-    for k in 0..blocks {
-        for j in 0..pairs {
-            let y = b.var(&format!("y{j}_{k}"));
-            let f = b.var(&format!("f{j}_{k}"));
-            b.write(producers[j], y, 1);
-            b.acquire(producers[j], locks[j]);
-            b.write(producers[j], f, 1);
-            b.release(producers[j], locks[j]);
-            b.acquire(consumers[j], locks[j]);
-            b.read(consumers[j], f, 1);
-            b.release(consumers[j], locks[j]);
-            b.branch(consumers[j]);
-            b.read(consumers[j], y, 1);
-        }
-    }
-    Workload {
-        name: name.to_string(),
-        trace: b.finish(),
     }
 }
 

@@ -176,9 +176,11 @@ pub struct DetectorConfig {
     /// reports, count-type metrics and witnesses are byte-identical with
     /// portfolio on or off at any `parallelism`. Off by default.
     pub portfolio: bool,
-    /// Upper bound on concrete COPs examined per signature before giving up
-    /// on that signature for the window (bounds the quadratic pair
-    /// enumeration on hot variables).
+    /// Upper bound on concrete COPs kept per signature per window: once a
+    /// signature has this many, further pairs with that signature are
+    /// dropped. It bounds the COPs handed to the tiers and the solver, not
+    /// the pairs scanned — enumeration still visits every same-variable
+    /// write×write and write×read pair.
     pub max_cops_per_signature: usize,
     /// Number of worker threads solving windows concurrently. `1` runs the
     /// fully serial driver; the default is the machine's available

@@ -443,8 +443,8 @@ impl Session {
     /// Feeds the next chunk of the stream. Strict sessions dispatch every
     /// newly completed window to the pool before returning; lenient
     /// sessions buffer (salvage needs the whole trace). A parse error is
-    /// fatal to the session — same message, offset and snippet as the
-    /// whole-file parser.
+    /// fatal to the session — same message, offset and snippet as a
+    /// whole-file read.
     pub fn feed(&mut self, chunk: &[u8]) -> Result<(), JsonError> {
         self.parser.feed(chunk)?;
         if !self.config.lenient {

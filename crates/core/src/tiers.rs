@@ -43,6 +43,9 @@ use rvtrace::{
 use crate::config::ConsistencyMode;
 use crate::encoder::write_sets;
 
+#[cfg(test)]
+mod reference;
+
 /// Which stage of the detection cascade decided a COP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tier {
@@ -111,9 +114,13 @@ const MAX_CS_PAIRS: usize = 256;
 /// Bound on per-COP lock-disjunction propagation rounds.
 const MAX_E2_ROUNDS: usize = 3;
 
+/// `fact_slot` entry of a read whose facts are not computed yet.
+const NO_FACTS: u32 = u32::MAX;
+
 /// The per-window tier state: the entailed base order graph, memoized
-/// per-read facts, the wait links and undischarged lock disjunctions, and
-/// the per-tier time accumulators the detector folds into its report.
+/// per-read facts, the wait links and undischarged lock disjunctions, the
+/// per-COP scratch every refutation reuses, and the per-tier time
+/// accumulators the detector folds into its report.
 #[derive(Debug)]
 pub struct TierAnalysis<'a> {
     view: &'a View<'a>,
@@ -124,6 +131,10 @@ pub struct TierAnalysis<'a> {
     /// Entailed base edges (dense index), forward and reverse.
     fwd: Vec<Vec<u32>>,
     rev: Vec<Vec<u32>>,
+    /// True while every base edge points forward in trace order (checked
+    /// per edge as the graph is built). Reachability queries are then
+    /// bounded by trace order; see DESIGN.md, "Tiered cascade".
+    base_forward: bool,
     /// True when the window formula is `Unsat` regardless of the COP.
     refute_all: bool,
     /// Complete in-view wait links (the exact set the encoder constrains).
@@ -134,13 +145,31 @@ pub struct TierAnalysis<'a> {
     /// Conditional lock pairs, discharged per COP against the cut
     /// (ControlFlow mode only).
     cond_pairs: Vec<CondPair>,
-    facts: HashMap<EventId, ReadFacts>,
+    /// Memoized read facts: `facts[fact_slot[i]]` belongs to the read at
+    /// dense index `i` (`NO_FACTS` until first asked for).
+    fact_slot: Vec<u32>,
+    facts: Vec<ReadFacts>,
     tier_a_time: Duration,
     tier_b_time: Duration,
-    // BFS scratch (epoch-marked so per-COP queries need no clearing).
+    // Per-window scratch, reused by every COP. Marks are epoch-stamped, so
+    // no query clears them.
     mark_fwd: Vec<u32>,
     mark_rev: Vec<u32>,
+    mark_seen: Vec<u32>,
     epoch: u32,
+    queue: Vec<u32>,
+    /// The current COP's extra edges (dense adjacency, forward and
+    /// reverse), empty between COPs; `touched` lists the nodes to clear.
+    extra_fwd: Vec<Vec<u32>>,
+    extra_rev: Vec<Vec<u32>>,
+    touched: Vec<u32>,
+    /// True while every extra edge of the current COP points forward in
+    /// trace order.
+    extra_forward: bool,
+    /// Adjacency tests that had to flood the whole window (test-only
+    /// coverage probe for the fallback path).
+    #[cfg(test)]
+    unbounded_tests: usize,
 }
 
 impl<'a> TierAnalysis<'a> {
@@ -159,16 +188,26 @@ impl<'a> TierAnalysis<'a> {
             n,
             fwd: vec![Vec::new(); n],
             rev: vec![Vec::new(); n],
+            base_forward: true,
             refute_all: false,
             links: Vec::new(),
             cs_pairs: Vec::new(),
             cond_pairs: Vec::new(),
-            facts: HashMap::new(),
+            fact_slot: vec![NO_FACTS; n],
+            facts: Vec::new(),
             tier_a_time: Duration::ZERO,
             tier_b_time: Duration::ZERO,
             mark_fwd: vec![0; n],
             mark_rev: vec![0; n],
+            mark_seen: vec![0; n],
             epoch: 0,
+            queue: Vec::new(),
+            extra_fwd: vec![Vec::new(); n],
+            extra_rev: vec![Vec::new(); n],
+            touched: Vec::new(),
+            extra_forward: true,
+            #[cfg(test)]
+            unbounded_tests: 0,
         };
         let t0 = Instant::now();
         a.build_base();
@@ -183,6 +222,7 @@ impl<'a> TierAnalysis<'a> {
 
     fn add_edge(&mut self, from: EventId, to: EventId) {
         let (f, t) = (self.idx(from), self.idx(to));
+        self.base_forward &= f < t;
         self.fwd[f as usize].push(t);
         self.rev[t as usize].push(f);
     }
@@ -250,8 +290,9 @@ impl<'a> TierAnalysis<'a> {
         // become E2 candidates (deterministic order, capped). The maximal
         // mode matches the *conditional* `Φ_lock` instead: every pair keeps
         // its acquire escape hatches and is discharged per COP, because a
-        // span acquired past the racing pair constrains nothing.
-        let mut pairs_dropped = 0usize;
+        // span acquired past the racing pair constrains nothing. Pairs past
+        // the cap are dropped: that loses refutation power only, never
+        // soundness.
         for lock_idx in 0..trace.n_locks() as u32 {
             let spans = view.critical_sections(rvtrace::LockId(lock_idx)).to_vec();
             for i in 0..spans.len() {
@@ -271,8 +312,6 @@ impl<'a> TierAnalysis<'a> {
                             self.refute_all = true; // empty disjunction: ff
                         } else if self.cond_pairs.len() < MAX_CS_PAIRS {
                             self.cond_pairs.push(p);
-                        } else {
-                            pairs_dropped += 1;
                         }
                         continue;
                     }
@@ -280,8 +319,6 @@ impl<'a> TierAnalysis<'a> {
                         (Some(r1), Some(a2), Some(r2), Some(a1)) => {
                             if self.cs_pairs.len() < MAX_CS_PAIRS {
                                 self.cs_pairs.push((r1, a2, r2, a1));
-                            } else {
-                                pairs_dropped += 1;
                             }
                         }
                         (Some(r1), Some(a2), _, _) => self.add_edge(r1, a2),
@@ -291,20 +328,18 @@ impl<'a> TierAnalysis<'a> {
                 }
             }
         }
-        let _ = pairs_dropped; // refutation power only; soundness unaffected
-                               // Said et al.: every window read keeps its value, unconditionally,
-                               // so every read's entailed facts are global edges.
+        // Said et al.: every window read keeps its value, unconditionally,
+        // so every read's entailed facts are global edges.
         if self.mode == ConsistencyMode::WholeTrace {
             let reads: Vec<EventId> = view
                 .ids()
                 .filter(|&id| view.event(id).kind.is_read())
                 .collect();
             for r in reads {
-                let f = self.read_fact(r);
-                if f.refute {
-                    self.refute_all = true;
-                }
-                for (x, y) in f.edges {
+                let k = self.read_fact(r);
+                self.refute_all |= self.facts[k].refute;
+                for i in 0..self.facts[k].edges.len() {
+                    let (x, y) = self.facts[k].edges[i];
                     self.add_edge(x, y);
                 }
             }
@@ -317,8 +352,8 @@ impl<'a> TierAnalysis<'a> {
             let mut keep = Vec::with_capacity(pairs.len());
             for (r1, a2, r2, a1) in pairs {
                 // `O_r1 < O_a2` is impossible iff a2 already reaches r1.
-                let d1_dead = self.base_reaches(a2, r1);
-                let d2_dead = self.base_reaches(a1, r2);
+                let d1_dead = self.reaches(a2, r1);
+                let d2_dead = self.reaches(a1, r2);
                 match (d1_dead, d2_dead) {
                     (true, true) => self.refute_all = true,
                     (true, false) => {
@@ -340,10 +375,12 @@ impl<'a> TierAnalysis<'a> {
     }
 
     /// The entailed order facts of `read`'s match disjunction, mirroring
-    /// exactly the disjuncts `read_match` builds (memoized).
-    fn read_fact(&mut self, read: EventId) -> ReadFacts {
-        if let Some(f) = self.facts.get(&read) {
-            return f.clone();
+    /// exactly the disjuncts `read_match` builds. Memoized per read; returns
+    /// the facts' index into `self.facts`.
+    fn read_fact(&mut self, read: EventId) -> usize {
+        let slot = self.idx(read) as usize;
+        if self.fact_slot[slot] != NO_FACTS {
+            return self.fact_slot[slot] as usize;
         }
         let view = self.view;
         let (var, value) = match view.event(read).kind {
@@ -381,34 +418,90 @@ impl<'a> TierAnalysis<'a> {
                 f.edges.push((read, w2));
             }
         }
-        self.facts.insert(read, f.clone());
-        f
+        self.fact_slot[slot] = self.facts.len() as u32;
+        self.facts.push(f);
+        self.facts.len() - 1
     }
 
-    /// Reachability over the base graph only (no per-COP edges).
-    fn base_reaches(&mut self, from: EventId, to: EventId) -> bool {
-        self.epoch += 1;
-        let (src, dst) = (self.idx(from), self.idx(to));
-        let mut queue = vec![src];
-        self.mark_fwd[src as usize] = self.epoch;
+    /// True while every edge in play — base plus the current COP's extra
+    /// edges — points forward in trace order.
+    #[inline]
+    fn forward(&self) -> bool {
+        self.base_forward && self.extra_forward
+    }
+
+    /// The whole window as a flood span.
+    #[inline]
+    fn full_span(&self) -> (u32, u32) {
+        (0, (self.n as u32).saturating_sub(1))
+    }
+
+    /// Marks with `epoch` every node that `src` reaches over `base` plus
+    /// `extra` edges without leaving the dense-index span `lo..=hi`.
+    /// Returns true as soon as a newly marked node satisfies `hit` (the
+    /// marks are then partial).
+    #[allow(clippy::too_many_arguments)]
+    fn flood(
+        mark: &mut [u32],
+        queue: &mut Vec<u32>,
+        base: &[Vec<u32>],
+        extra: &[Vec<u32>],
+        src: u32,
+        epoch: u32,
+        (lo, hi): (u32, u32),
+        mut hit: impl FnMut(u32) -> bool,
+    ) -> bool {
+        queue.clear();
+        queue.push(src);
+        mark[src as usize] = epoch;
         while let Some(x) = queue.pop() {
-            if x == dst {
-                return true;
-            }
-            for &y in &self.fwd[x as usize] {
-                if self.mark_fwd[y as usize] != self.epoch {
-                    self.mark_fwd[y as usize] = self.epoch;
-                    queue.push(y);
+            for &y in base[x as usize].iter().chain(&extra[x as usize]) {
+                if y < lo || y > hi || mark[y as usize] == epoch {
+                    continue;
                 }
+                mark[y as usize] = epoch;
+                if hit(y) {
+                    return true;
+                }
+                queue.push(y);
             }
         }
         false
     }
 
+    /// Reachability over the base graph plus the current COP's extra
+    /// edges (none outside [`refutes`](Self::refutes)). With every edge
+    /// forward in trace order, a path from `from` to `to` only visits
+    /// nodes between the two, and none exists when `from` comes later.
+    fn reaches(&mut self, from: EventId, to: EventId) -> bool {
+        let (src, dst) = (self.idx(from), self.idx(to));
+        if src == dst {
+            return true;
+        }
+        let span = if !self.forward() {
+            self.full_span()
+        } else if src < dst {
+            (src, dst)
+        } else {
+            return false;
+        };
+        self.epoch += 1;
+        Self::flood(
+            &mut self.mark_fwd,
+            &mut self.queue,
+            &self.fwd,
+            &self.extra_fwd,
+            src,
+            self.epoch,
+            span,
+            |y| y == dst,
+        )
+    }
+
     /// True when the base entailment graph already orders `a` before `b`
     /// (exposed for the tier-algebra unit tests).
     pub fn entailed_before(&mut self, a: EventId, b: EventId) -> bool {
-        a != b && self.base_reaches(a, b)
+        a != b && self.reaches(a, b)
     }
 
     /// Time spent in the confirmation screen so far.
@@ -444,60 +537,64 @@ impl<'a> TierAnalysis<'a> {
 
     // ----- Tier B: entailment refutation ------------------------------
 
-    /// Marks everything forward-reachable from `src` through base + extra
-    /// edges with a fresh epoch; returns the epoch used.
-    fn flood(
-        mark: &mut [u32],
-        base: &[Vec<u32>],
-        extra: &HashMap<u32, Vec<u32>>,
-        src: u32,
-        epoch: u32,
-    ) {
-        let mut queue = vec![src];
-        mark[src as usize] = epoch;
-        while let Some(x) = queue.pop() {
-            let neighbors = base[x as usize]
-                .iter()
-                .chain(extra.get(&x).into_iter().flatten());
-            for &y in neighbors {
-                if mark[y as usize] != epoch {
-                    mark[y as usize] = epoch;
-                    queue.push(y);
-                }
-            }
-        }
+    /// Adds a per-COP extra edge, noting whether it points backward in
+    /// trace order.
+    fn add_extra(&mut self, from: EventId, to: EventId) {
+        let (x, y) = (self.idx(from), self.idx(to));
+        self.extra_forward &= x < y;
+        self.extra_fwd[x as usize].push(y);
+        self.extra_rev[y as usize].push(x);
+        self.touched.extend([x, y]);
+    }
+
+    /// Stamps `e` into the current closure; false when already there.
+    fn see(&mut self, e: EventId, seen: u32) -> bool {
+        let i = self.idx(e) as usize;
+        let fresh = self.mark_seen[i] != seen;
+        self.mark_seen[i] = seen;
+        fresh
     }
 
     /// The refutation test proper: with the per-COP extra edges in place,
     /// `Φ ∧ Φ_race(cop)` is unsatisfiable iff the entailed order puts
     /// `second` before `first`, or any third event strictly between them
     /// (the race adjacency leaves no room for either).
-    fn adjacency_contradicted(
-        &mut self,
-        cop: &Cop,
-        extra_fwd: &HashMap<u32, Vec<u32>>,
-        extra_rev: &HashMap<u32, Vec<u32>>,
-    ) -> bool {
+    fn adjacency_contradicted(&mut self, cop: &Cop) -> bool {
         let (a, b) = (self.idx(cop.first), self.idx(cop.second));
-        self.epoch += 1;
-        let epoch = self.epoch;
-        // Forward cone of `first`, reverse cone of `second`.
-        Self::flood(&mut self.mark_fwd, &self.fwd, extra_fwd, a, epoch);
-        Self::flood(&mut self.mark_rev, &self.rev, extra_rev, b, epoch);
-        // Any x ∉ {first, second} with first → x and x → second.
-        for x in 0..self.n as u32 {
-            if x == a || x == b {
-                continue;
-            }
-            if self.mark_fwd[x as usize] == epoch && self.mark_rev[x as usize] == epoch {
-                return true;
-            }
+        // With every edge forward, both cones meet only between the
+        // accesses, and `second` cannot reach the earlier `first`.
+        let bounded = self.forward() && a < b;
+        let span = if bounded { (a, b) } else { self.full_span() };
+        #[cfg(test)]
+        {
+            self.unbounded_tests += usize::from(!bounded);
         }
-        // second → first: flood forward from `second`.
         self.epoch += 1;
         let epoch = self.epoch;
-        Self::flood(&mut self.mark_fwd, &self.fwd, extra_fwd, b, epoch);
-        self.mark_fwd[a as usize] == epoch
+        // Forward cone of `first`, then the reverse cone of `second` until
+        // it meets the forward cone at any x ∉ {first, second}.
+        Self::flood(
+            &mut self.mark_fwd,
+            &mut self.queue,
+            &self.fwd,
+            &self.extra_fwd,
+            a,
+            epoch,
+            span,
+            |_| false,
+        );
+        let fwd_marks = &self.mark_fwd;
+        let between = Self::flood(
+            &mut self.mark_rev,
+            &mut self.queue,
+            &self.rev,
+            &self.extra_rev,
+            b,
+            epoch,
+            span,
+            |x| x != a && x != b && fwd_marks[x as usize] == epoch,
+        );
+        between || (!bounded && self.reaches(cop.second, cop.first))
     }
 
     fn refutes(&mut self, cop: &Cop) -> bool {
@@ -507,42 +604,55 @@ impl<'a> TierAnalysis<'a> {
         if !self.view.contains(cop.first) || !self.view.contains(cop.second) {
             return false;
         }
+        let refuted = self.refutes_with_extra(cop);
+        for &x in &self.touched {
+            self.extra_fwd[x as usize].clear();
+            self.extra_rev[x as usize].clear();
+        }
+        self.touched.clear();
+        self.extra_forward = true;
+        refuted
+    }
+
+    /// [`refutes`](Self::refutes) for an in-view COP: builds the per-COP
+    /// extra edges into the scratch adjacency (the caller clears it).
+    fn refutes_with_extra(&mut self, cop: &Cop) -> bool {
+        let view = self.view;
         // Per-COP forced-feasibility closure (ControlFlow only): the
         // branches `Φ_race` asserts, their thread-prior reads, and each
         // unique justifier's own closure.
-        let mut extra_fwd: HashMap<u32, Vec<u32>> = HashMap::new();
-        let mut extra_rev: HashMap<u32, Vec<u32>> = HashMap::new();
         if self.mode == ConsistencyMode::ControlFlow {
-            let mut seen: std::collections::HashSet<EventId> = std::collections::HashSet::new();
+            self.epoch += 1;
+            let seen = self.epoch;
             let mut work: Vec<EventId> = Vec::new();
             for e in [cop.first, cop.second] {
-                for br in self.view.last_branches_before(e) {
-                    if seen.insert(br) {
+                for br in view.last_branches_before(e) {
+                    if self.see(br, seen) {
                         work.push(br);
                     }
                 }
             }
             while let Some(e) = work.pop() {
-                match self.view.event(e).kind {
+                match view.event(e).kind {
                     EventKind::Branch | EventKind::Write { .. } => {
-                        for &r in self.view.thread_reads_before(e) {
-                            if seen.insert(r) {
+                        for &r in view.thread_reads_before(e) {
+                            if self.see(r, seen) {
                                 work.push(r);
                             }
                         }
                     }
                     EventKind::Read { .. } => {
-                        let f = self.read_fact(e);
-                        if f.refute {
+                        let k = self.read_fact(e);
+                        if self.facts[k].refute {
                             return true;
                         }
-                        for (x, y) in f.edges {
-                            let (xi, yi) = (self.idx(x), self.idx(y));
-                            extra_fwd.entry(xi).or_default().push(yi);
-                            extra_rev.entry(yi).or_default().push(xi);
+                        for i in 0..self.facts[k].edges.len() {
+                            let (x, y) = self.facts[k].edges[i];
+                            self.add_extra(x, y);
                         }
-                        for w in f.forces {
-                            if seen.insert(w) {
+                        for i in 0..self.facts[k].forces.len() {
+                            let w = self.facts[k].forces[i];
+                            if self.see(w, seen) {
                                 work.push(w);
                             }
                         }
@@ -551,7 +661,7 @@ impl<'a> TierAnalysis<'a> {
                 }
             }
         }
-        if self.adjacency_contradicted(cop, &extra_fwd, &extra_rev) {
+        if self.adjacency_contradicted(cop) {
             return true;
         }
         // Per-COP E2 rounds: with the extra edges in place, more lock
@@ -568,26 +678,16 @@ impl<'a> TierAnalysis<'a> {
                     continue;
                 }
                 let (r1, a2, r2, a1) = self.cs_pairs[pi];
-                let d1_dead = self.percop_reaches(a2, r1, &extra_fwd);
-                let d2_dead = self.percop_reaches(a1, r2, &extra_fwd);
+                let d1_dead = self.reaches(a2, r1);
+                let d2_dead = self.reaches(a1, r2);
                 match (d1_dead, d2_dead) {
                     (true, true) => return true,
-                    (true, false) => {
-                        let (x, y) = (self.idx(r2), self.idx(a1));
-                        extra_fwd.entry(x).or_default().push(y);
-                        extra_rev.entry(y).or_default().push(x);
-                        discharged[pi] = true;
-                        changed = true;
-                    }
-                    (false, true) => {
-                        let (x, y) = (self.idx(r1), self.idx(a2));
-                        extra_fwd.entry(x).or_default().push(y);
-                        extra_rev.entry(y).or_default().push(x);
-                        discharged[pi] = true;
-                        changed = true;
-                    }
-                    (false, false) => {}
+                    (true, false) => self.add_extra(r2, a1),
+                    (false, true) => self.add_extra(r1, a2),
+                    (false, false) => continue,
                 }
+                discharged[pi] = true;
+                changed = true;
             }
             // Conditional pairs (maximal mode): a hatch `D < O_a` is dead
             // once the acquire is entailed at-or-before the cut, i.e. it
@@ -595,87 +695,94 @@ impl<'a> TierAnalysis<'a> {
             // dead the window refutes the COP; with exactly one alive its
             // content becomes entailed extra edges.
             if !self.cond_pairs.is_empty() {
-                self.epoch += 1;
-                let cut = self.epoch;
-                let (ci, cj) = (self.idx(cop.first), self.idx(cop.second));
-                Self::flood(&mut self.mark_rev, &self.rev, &extra_rev, ci, cut);
-                Self::flood(&mut self.mark_rev, &self.rev, &extra_rev, cj, cut);
+                let cut = self.mark_cut(cop, &cond_discharged);
                 for pi in 0..self.cond_pairs.len() {
                     if cond_discharged[pi] {
                         continue;
                     }
                     let p = self.cond_pairs[pi];
-                    let hatch_alive = |marks: &[u32], me: &Self, h: Option<EventId>| {
-                        h.map_or(false, |a| marks[me.idx(a) as usize] != cut)
+                    let hatch_alive = |h: Option<EventId>| {
+                        h.is_some_and(|a| self.mark_rev[self.idx(a) as usize] != cut)
                     };
-                    let h1 = hatch_alive(&self.mark_rev, self, p.h1);
-                    let h2 = hatch_alive(&self.mark_rev, self, p.h2);
-                    let d1 = match p.d1 {
-                        Some((r1, a2)) => !self.percop_reaches(a2, r1, &extra_fwd),
-                        None => false,
-                    };
-                    let d2 = match p.d2 {
-                        Some((r2, a1)) => !self.percop_reaches(a1, r2, &extra_fwd),
-                        None => false,
-                    };
-                    let push = |x: EventId,
-                                y: EventId,
-                                me: &Self,
-                                ef: &mut HashMap<u32, Vec<u32>>,
-                                er: &mut HashMap<u32, Vec<u32>>| {
-                        let (xi, yi) = (me.idx(x), me.idx(y));
-                        ef.entry(xi).or_default().push(yi);
-                        er.entry(yi).or_default().push(xi);
-                    };
+                    let (h1, h2) = (hatch_alive(p.h1), hatch_alive(p.h2));
+                    // Two live disjuncts entail nothing, so the order
+                    // disjuncts need no flood past that point.
+                    let mut alive = usize::from(h1) + usize::from(h2);
+                    let d1 = alive < 2 && p.d1.is_some_and(|(r1, a2)| !self.reaches(a2, r1));
+                    alive += usize::from(d1);
+                    let d2 = alive < 2 && p.d2.is_some_and(|(r2, a1)| !self.reaches(a1, r2));
                     match (d1, d2, h1, h2) {
                         (false, false, false, false) => return true,
                         (true, false, false, false) => {
                             let (r1, a2) = p.d1.expect("alive");
-                            push(r1, a2, self, &mut extra_fwd, &mut extra_rev);
-                            cond_discharged[pi] = true;
-                            changed = true;
+                            self.add_extra(r1, a2);
                         }
                         (false, true, false, false) => {
                             let (r2, a1) = p.d2.expect("alive");
-                            push(r2, a1, self, &mut extra_fwd, &mut extra_rev);
-                            cond_discharged[pi] = true;
-                            changed = true;
+                            self.add_extra(r2, a1);
                         }
                         (false, false, true, false) | (false, false, false, true) => {
                             // Forced hatch: the span must open past the
                             // cut, so both accesses precede its acquire.
                             let a = if h1 { p.h1 } else { p.h2 }.expect("alive");
-                            push(cop.first, a, self, &mut extra_fwd, &mut extra_rev);
-                            push(cop.second, a, self, &mut extra_fwd, &mut extra_rev);
-                            cond_discharged[pi] = true;
-                            changed = true;
+                            self.add_extra(cop.first, a);
+                            self.add_extra(cop.second, a);
                         }
-                        _ => {} // two or more alive: no entailment yet
+                        _ => continue, // two or more alive: no entailment yet
                     }
+                    cond_discharged[pi] = true;
+                    changed = true;
                 }
             }
             if !changed {
                 break;
             }
-            if self.adjacency_contradicted(cop, &extra_fwd, &extra_rev) {
+            if self.adjacency_contradicted(cop) {
                 return true;
             }
         }
         false
     }
 
-    /// Reachability over base + per-COP extra edges.
-    fn percop_reaches(
-        &mut self,
-        from: EventId,
-        to: EventId,
-        extra: &HashMap<u32, Vec<u32>>,
-    ) -> bool {
+    /// Marks in `mark_rev`, under a fresh epoch it returns, every node
+    /// that reaches either access of `cop`: the acquires entailed at or
+    /// before the cut. Only the hatches of undischarged pairs are read
+    /// back, so with every edge forward the flood stays at or after the
+    /// earliest of them (a path into the accesses never moves back).
+    fn mark_cut(&mut self, cop: &Cop, discharged: &[bool]) -> u32 {
         self.epoch += 1;
-        let epoch = self.epoch;
-        let (src, dst) = (self.idx(from), self.idx(to));
-        Self::flood(&mut self.mark_fwd, &self.fwd, extra, src, epoch);
-        self.mark_fwd[dst as usize] == epoch
+        let cut = self.epoch;
+        let lowest_hatch = self
+            .cond_pairs
+            .iter()
+            .zip(discharged)
+            .filter(|&(_, &done)| !done)
+            .flat_map(|(p, _)| [p.h1, p.h2])
+            .flatten()
+            .map(|h| self.idx(h))
+            .min();
+        let Some(lo) = lowest_hatch else {
+            return cut;
+        };
+        let span = if self.forward() {
+            (lo, (self.n as u32).saturating_sub(1))
+        } else {
+            self.full_span()
+        };
+        for access in [cop.first, cop.second] {
+            let src = self.idx(access);
+            Self::flood(
+                &mut self.mark_rev,
+                &mut self.queue,
+                &self.rev,
+                &self.extra_rev,
+                src,
+                cut,
+                span,
+                |_| false,
+            );
+        }
+        cut
     }
 
     // ----- Tier A: sync-preserving confirmation -----------------------

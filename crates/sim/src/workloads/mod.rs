@@ -12,6 +12,8 @@
 //!   suite rows (`account`, `airline`, …);
 //! * [`grande`] — fork/join numeric kernels in the style of the Java
 //!   Grande rows (`crypt`, `lufact`, `series`);
+//! * [`handoff`] — lock-protected flag-handoff generators shaped for the
+//!   tiered cascade (not Table 1 rows);
 //! * [`systems`] — parameterized server-style generators standing in for
 //!   the real-system rows (`ftpserver`, `jigsaw`, `derby`, …), scalable to
 //!   millions of events.
@@ -19,6 +21,7 @@
 pub mod contest;
 pub mod figures;
 pub mod grande;
+pub mod handoff;
 pub mod systems;
 
 use rvtrace::Trace;

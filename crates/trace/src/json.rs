@@ -29,6 +29,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::event::{ChanId, Event, EventId, EventKind, Loc, LockId, ThreadId, Value, VarId};
+use crate::stream::{StreamFormat, StreamParser, FEED_CHUNK};
 use crate::trace::{MsgLink, Trace, TraceData, WaitLink};
 
 /// A JSON parse or shape error, with a byte offset for syntax errors and a
@@ -47,7 +48,7 @@ pub struct JsonError {
 
 /// How many bytes of context an error snippet shows on either side of the
 /// failing offset. The streaming parser retains this much consumed input
-/// so its snippets match the whole-file parser's byte for byte.
+/// so its snippets match the tree parser's byte for byte.
 pub(crate) const SNIPPET_CONTEXT: usize = 15;
 
 impl JsonError {
@@ -415,9 +416,11 @@ fn parse(input: &str) -> Result<JsonValue, JsonError> {
 
 /// Parses an arbitrary (integer-only) JSON document into a [`JsonValue`].
 ///
-/// This is the same parser the trace reader uses, exposed so in-tree
-/// consumers (the bench harness's schema validator, the metrics tests) can
-/// read the workspace's JSON artifacts without an external dependency.
+/// This is the parser the trace decoder runs on each framed value (one
+/// event, one metadata field), exposed so in-tree consumers (the bench
+/// harness's schema validator, the metrics tests, the daemon protocol) can
+/// read the workspace's small JSON documents without an external
+/// dependency.
 /// Floating-point numbers are rejected by design.
 ///
 /// # Examples
@@ -436,8 +439,8 @@ pub fn parse_json(input: &str) -> Result<JsonValue, JsonError> {
 /// Parses one framed JSON value that begins at absolute byte offset
 /// `abs_base` of a larger input. Error snippets come from the span itself
 /// (the incremental parser no longer holds earlier bytes); offsets are
-/// rebased so they point into the whole input, matching what the
-/// whole-file parser would report.
+/// rebased so they point into the whole input, matching what the tree
+/// parser would report for the whole input.
 pub(crate) fn parse_span(span: &str, abs_base: usize) -> Result<JsonValue, JsonError> {
     parse(span).map_err(|mut e| {
         e.offset += abs_base;
@@ -689,9 +692,8 @@ fn read_key_u32(key: &str) -> Result<u32, JsonError> {
         .map_err(|_| shape(format!("map key `{key}` is not an id")))
 }
 
-/// Decodes one event object (`{"thread":N,"kind":K,"loc":N}`). Shared by
-/// the whole-document reader and the incremental [`crate::StreamParser`],
-/// so both accept exactly the same event shapes.
+/// Decodes one event object (`{"thread":N,"kind":K,"loc":N}`), in either
+/// wire format.
 pub(crate) fn read_event(v: &JsonValue) -> Result<Event, JsonError> {
     Ok(Event {
         thread: ThreadId(v.field("thread")?.as_u32()?),
@@ -700,8 +702,8 @@ pub(crate) fn read_event(v: &JsonValue) -> Result<Event, JsonError> {
     })
 }
 
-/// The trace's metadata keys, in the order the whole-document reader
-/// requires them (and reports the first missing one).
+/// The trace's required metadata keys, in the order a whole-document
+/// trace missing several of them reports the first.
 pub(crate) const METADATA_KEYS: [&str; 5] = [
     "initial_values",
     "volatiles",
@@ -711,9 +713,8 @@ pub(crate) const METADATA_KEYS: [&str; 5] = [
 ];
 
 /// Applies one named metadata field to `data`. Returns `Ok(false)` for an
-/// unrecognized key (the whole-document reader ignores unknown fields;
-/// the streaming reader does the same via this return). Shared by both
-/// readers so a field decodes identically whatever the ingestion path.
+/// unrecognized key, which the decoder ignores. Shared by both wire
+/// formats so a field decodes identically whatever the layout.
 pub(crate) fn apply_metadata_field(
     data: &mut TraceData,
     key: &str,
@@ -769,10 +770,10 @@ pub(crate) fn apply_metadata_field(
 }
 
 /// Checks every wait link references an existing event. Split out of
-/// [`from_json`] so the streaming strict path ([`crate::read_trace`], the
-/// CLI's `--stream`) can run the same validation after an incremental
-/// parse; an out-of-range id from an untrusted document would otherwise
-/// become a panic deep inside detection.
+/// [`from_json`] so the reader-based strict path ([`crate::read_trace`],
+/// the CLI's `--stream`) runs the same validation after its parse; an
+/// out-of-range id from an untrusted document would otherwise become a
+/// panic deep inside detection.
 pub fn validate_wait_links(data: &TraceData) -> Result<(), JsonError> {
     let n_events = data.events.len();
     let check = |what: &str, id: EventId| {
@@ -871,7 +872,25 @@ pub fn from_json(input: &str) -> Result<Trace, JsonError> {
 /// lenient ingestion: pair with
 /// [`salvage_trace`](crate::salvage::salvage_trace), which drops (and
 /// counts) inconsistent events and dangling wait links instead of failing.
+///
+/// This is the one trace decoder, [`StreamParser`], forced to the
+/// whole-document format and fed the input in chunks: no whole-document
+/// [`JsonValue`] tree is built. Errors are reported strictly by byte
+/// position (see the [`stream`](crate::stream) module docs).
 pub fn from_json_data(input: &str) -> Result<TraceData, JsonError> {
+    let mut parser = StreamParser::with_format(StreamFormat::Json);
+    for chunk in input.as_bytes().chunks(FEED_CHUNK) {
+        parser.feed(chunk)?;
+    }
+    parser.finish()?;
+    Ok(parser.into_data())
+}
+
+/// A tree-walking trace reader: parse the whole document into one
+/// [`JsonValue`], then convert it. The reference the decoder equivalence
+/// tests hold [`StreamParser`] and [`from_json_data`] to.
+#[cfg(test)]
+pub(crate) fn tree_from_json_data(input: &str) -> Result<TraceData, JsonError> {
     let root = parse(input)?;
     let mut data = TraceData::default();
     for ev in root.field("events")?.as_array()? {
@@ -885,6 +904,14 @@ pub fn from_json_data(input: &str) -> Result<TraceData, JsonError> {
         apply_metadata_field(&mut data, "msg_links", v)?;
     }
     Ok(data)
+}
+
+/// [`from_json`] over the tree reader (see [`tree_from_json_data`]).
+#[cfg(test)]
+pub(crate) fn tree_from_json(input: &str) -> Result<Trace, JsonError> {
+    let data = tree_from_json_data(input)?;
+    validate_wait_links(&data)?;
+    Ok(Trace::from_data(data))
 }
 
 #[cfg(test)]

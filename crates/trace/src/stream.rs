@@ -22,16 +22,18 @@
 //! a first value with neither ⇒ NDJSON header), or forced with
 //! [`StreamParser::with_format`].
 //!
-//! Both paths reuse the whole-file machinery — the recursive parser for
-//! framed spans ([`parse_json`](crate::parse_json)'s internals), the event
-//! and metadata decoders — so a document accepted by
-//! [`from_json`](crate::from_json) decodes to the *same* [`TraceData`]
-//! here, and a document rejected there is rejected here, with the same
-//! message and byte offset in all but pathological cases (a document
-//! carrying several independent errors may surface a different one of
-//! them first: the whole-file reader finds every syntax error before any
-//! shape error, the incremental one reports strictly by byte position).
-//! Error snippets are best-effort, taken from the bytes still buffered.
+//! This is the workspace's one trace decoder: [`from_json`](crate::from_json)
+//! and [`from_json_data`](crate::from_json_data) run it forced to the
+//! whole-document format. Both formats parse each framed span (one event,
+//! one metadata field) with the recursive tree parser behind
+//! [`parse_json`](crate::parse_json) and decode it with the shared event
+//! and metadata decoders. A document whose top level is not an object is
+//! buffered whole and handed to the tree parser, so its error is the tree
+//! parser's. Errors are reported strictly by byte position: a document
+//! carrying several independent errors surfaces the first one in the
+//! input, even when it is a shape error and a later one is a syntax
+//! error. Error snippets are best-effort, taken from the bytes still
+//! buffered.
 //!
 //! # Examples
 //!
@@ -57,8 +59,8 @@ use std::time::Instant;
 
 use crate::event::Event;
 use crate::json::{
-    apply_metadata_field, from_json_data, parse_span, read_event, shape, validate_wait_links,
-    IngestStats, JsonError, JsonValue, METADATA_KEYS, SNIPPET_CONTEXT,
+    apply_metadata_field, parse_span, read_event, shape, validate_wait_links, IngestStats,
+    JsonError, JsonValue, METADATA_KEYS, SNIPPET_CONTEXT,
 };
 use crate::trace::{Trace, TraceData};
 
@@ -91,8 +93,8 @@ enum DocState {
     AfterValue,
     /// Document closed; only trailing whitespace is allowed.
     Done,
-    /// The top level is not an object: buffer everything and reproduce
-    /// the whole-file behavior at [`StreamParser::finish`].
+    /// The top level is not an object: buffer everything and report the
+    /// tree parser's error for it at [`StreamParser::finish`].
     Fallback,
 }
 
@@ -110,15 +112,6 @@ enum EventsState {
 struct SeenKeys {
     events: bool,
     metadata: [bool; METADATA_KEYS.len()],
-}
-
-impl SeenKeys {
-    fn all() -> Self {
-        SeenKeys {
-            events: true,
-            metadata: [true; METADATA_KEYS.len()],
-        }
-    }
 }
 
 /// Where the NDJSON machine stands.
@@ -283,7 +276,7 @@ impl StreamParser {
     /// Signals end of input and completes the parse: processes any
     /// trailing bytes, then checks the document for completeness (the
     /// whole-document format's required keys; a truncated value fails
-    /// with the whole-file parser's error for the same fragment).
+    /// with the tree parser's error for the same fragment).
     pub fn finish(&mut self) -> Result<(), JsonError> {
         let t = Instant::now();
         let r = self.pump(true).and_then(|()| self.check_complete());
@@ -299,7 +292,7 @@ impl StreamParser {
     fn err_at(&self, local: usize, message: impl Into<String>) -> JsonError {
         // Snippet from the bytes still buffered. `pump` retains at least
         // `SNIPPET_CONTEXT` consumed bytes, so errors at or past the
-        // cursor reproduce the whole-file parser's window exactly (same
+        // cursor reproduce the tree parser's window exactly (same
         // width, same char-boundary clamping).
         let at = local.min(self.buf.len());
         let mut start = at.saturating_sub(SNIPPET_CONTEXT);
@@ -324,8 +317,9 @@ impl StreamParser {
 
     /// Parses the framed value at `buf[range]` with whole-input offsets.
     /// A parse error's snippet is rebuilt from the full buffer: the span
-    /// alone cannot show context before the value, but the whole-file
-    /// parser's window can (and does) reach across the frame boundary.
+    /// alone cannot show context before the value, but the tree parser's
+    /// window over the whole input can (and does) reach across the frame
+    /// boundary.
     fn parse_framed(&self, range: Range<usize>) -> Result<JsonValue, JsonError> {
         let abs = self.base + range.start;
         parse_span(self.span_str(range)?, abs)
@@ -347,13 +341,13 @@ impl StreamParser {
         };
         // Drain consumed bytes, but keep a snippet-sized tail of them so
         // later errors can show context from before the failure point,
-        // exactly as the whole-file parser's window does.
+        // exactly as the tree parser's window does.
         let keep = self.pos.min(SNIPPET_CONTEXT);
         let mut cut = self.pos - keep;
         // Never cut mid-code-point: if the margin started with a UTF-8
         // continuation byte, `err_at`'s boundary clamp would stop dead at
         // the buffer start and lossy-decode a replacement character the
-        // whole-file parser's snippet does not have.
+        // tree parser's snippet does not have.
         while cut > 0 && self.buf[cut] & 0xC0 == 0x80 {
             cut -= 1;
         }
@@ -383,8 +377,8 @@ impl StreamParser {
     /// Frames one JSON value starting at `start` (a non-ws byte). Returns
     /// the exclusive end, or `None` when more input is needed. An empty
     /// frame (a delimiter where a value must start) is reported as the
-    /// whole-file parser's `unexpected byte`; a frame still open at end
-    /// of input fails with the whole-file parser's error for the
+    /// tree parser's `unexpected byte`; a frame still open at end of
+    /// input fails with the tree parser's error for the
     /// truncated fragment (`unterminated string`, `unexpected end of
     /// input`, …) at the input's true end.
     fn frame_value(&self, start: usize, at_eof: bool) -> Result<Option<usize>, JsonError> {
@@ -464,18 +458,17 @@ impl StreamParser {
 
     fn check_complete(&mut self) -> Result<(), JsonError> {
         if matches!(self.mode, Mode::Json(DocState::Fallback, _)) {
-            // Top level wasn't an object: everything is still buffered, so
-            // the whole-file reader reproduces its exact behavior (usually
-            // an error; field order is free in JSON, so in principle it
-            // could succeed — then so do we).
-            let text = self.span_str(0..self.buf.len())?.to_string();
-            self.data = from_json_data(&text)?;
-            self.mode = Mode::Json(DocState::Done, SeenKeys::all());
-            return Ok(());
+            // Top level wasn't an object, and nothing was consumed: the
+            // tree parser reports the input's syntax error, or else the
+            // root is a non-object value and has no `events` field.
+            let root = parse_span(self.span_str(0..self.buf.len())?, self.base)?;
+            return Err(root
+                .field("events")
+                .expect_err("a non-object root has no fields"));
         }
         match &self.mode {
             // Empty/whitespace-only input never decided a format: the
-            // whole-file parser reports end-of-input at the document start.
+            // tree parser reports end-of-input at the document start.
             Mode::Auto(_) => Err(self.err_at(self.buf.len(), "unexpected end of input")),
             Mode::Json(DocState::Done, seen) => {
                 if !seen.events {
@@ -515,8 +508,8 @@ impl StreamParser {
                     scan.expect_key = true;
                     scan.pos = i + 1;
                 }
-                // Not an object: only the whole-document reader can
-                // produce the right (error) behavior.
+                // Not an object: the whole-document state machine's
+                // fallback reports the tree parser's error.
                 Some(_) => return Ok(self.decide(StreamFormat::Json)),
             }
         }
@@ -662,8 +655,8 @@ impl StreamParser {
                 };
                 if events_pending {
                     if byte != b'[' {
-                        // The whole-file reader parses the value, then
-                        // `field("events")?.as_array()?` rejects it.
+                        // As in the tree reader: the value parses, then
+                        // `as_array` rejects it.
                         let Some(end) = self.frame_value(i, at_eof)? else {
                             *self.doc_state() = DocState::Value { key };
                             return Ok(Step::NeedMore);
@@ -809,6 +802,10 @@ impl StreamParser {
     }
 }
 
+/// Bytes per [`StreamParser::feed`] call when a whole input is decoded
+/// ([`read_trace_data`], [`from_json_data`](crate::from_json_data)).
+pub(crate) const FEED_CHUNK: usize = 64 * 1024;
+
 fn read_error(total: usize, e: std::io::Error) -> JsonError {
     JsonError {
         message: format!("read error: {e}"),
@@ -823,7 +820,7 @@ fn read_error(total: usize, e: std::io::Error) -> JsonError {
 /// [`salvage_trace`](crate::salvage_trace).
 pub fn read_trace_data<R: Read>(mut reader: R) -> Result<(TraceData, IngestStats), JsonError> {
     let mut parser = StreamParser::new();
-    let mut chunk = vec![0u8; 64 * 1024];
+    let mut chunk = vec![0u8; FEED_CHUNK];
     loop {
         let n = reader
             .read(&mut chunk)
@@ -853,7 +850,7 @@ mod tests {
     use super::*;
     use crate::builder::TraceBuilder;
     use crate::event::{ThreadId, Value, VarId};
-    use crate::json::{from_json, to_json, to_ndjson};
+    use crate::json::{from_json, to_json, to_ndjson, tree_from_json, tree_from_json_data};
 
     fn sample() -> Trace {
         let mut b = TraceBuilder::new();
@@ -888,7 +885,7 @@ mod tests {
     fn doc_format_streams_to_identical_data_at_any_chunk_size() {
         let t = sample();
         let json = to_json(&t);
-        let whole = from_json_data(&json).unwrap();
+        let whole = tree_from_json_data(&json).unwrap();
         for chunk in [1, 2, 3, 7, 16, 64, json.len()] {
             let streamed = feed_all(json.as_bytes(), chunk).unwrap();
             assert_eq!(streamed, whole, "chunk={chunk}");
@@ -975,7 +972,7 @@ mod tests {
     fn empty_input_fails_like_the_whole_file_parser() {
         let mut p = StreamParser::new();
         let err = p.finish().unwrap_err();
-        let whole = from_json("").unwrap_err();
+        let whole = tree_from_json("").unwrap_err();
         assert_eq!(err.message, whole.message);
         assert_eq!(err.offset, whole.offset);
     }
@@ -990,7 +987,7 @@ mod tests {
         let json = to_json(&t);
         for cut in 1..json.len() {
             let part = &json[..cut];
-            let whole = from_json(part).unwrap_err();
+            let whole = tree_from_json(part).unwrap_err();
             let mut p = StreamParser::with_format(StreamFormat::Json);
             let streamed = p
                 .feed(part.as_bytes())
@@ -1005,6 +1002,8 @@ mod tests {
                 .and_then(|()| p.finish())
                 .unwrap_err();
             assert_eq!(trickled.to_string(), whole.to_string(), "cut={cut}");
+            let rerouted = from_json(part).unwrap_err();
+            assert_eq!(rerouted.to_string(), whole.to_string(), "cut={cut}");
         }
     }
 
@@ -1024,7 +1023,7 @@ mod tests {
             "{\"events\":[1,2]}",
             "{\"events\":[{\"thread\":0}]}",
         ] {
-            let whole = from_json(input).unwrap_err();
+            let whole = tree_from_json(input).unwrap_err();
             let mut p = StreamParser::with_format(StreamFormat::Json);
             let streamed = p
                 .feed(input.as_bytes())
@@ -1032,7 +1031,88 @@ mod tests {
                 .unwrap_err();
             assert_eq!(streamed.message, whole.message, "input={input}");
             assert_eq!(streamed.offset, whole.offset, "input={input}");
+            let rerouted = from_json(input).unwrap_err();
+            assert_eq!(rerouted.message, whole.message, "input={input}");
+            assert_eq!(rerouted.offset, whole.offset, "input={input}");
         }
+    }
+
+    /// Documents an auto-detecting parser would misread (`{}` passes as an
+    /// NDJSON header) or hand to the non-object fallback: `from_json`
+    /// forces the whole-document format and keeps the tree reader's exact
+    /// message and offset for each.
+    #[test]
+    fn from_json_keeps_the_tree_readers_errors() {
+        for (input, message, offset) in [
+            ("{}", "missing field `events`", 0),
+            (
+                "[1,2,3] trailing",
+                "trailing characters after JSON value",
+                8,
+            ),
+            ("not json", "invalid literal (expected `null`)", 0),
+            ("42", "expected object, found Int(42)", 0),
+            ("  \"events\"", "expected object, found Str(\"events\")", 0),
+        ] {
+            let whole = tree_from_json(input).unwrap_err();
+            assert_eq!((whole.message.as_str(), whole.offset), (message, offset));
+            let rerouted = from_json(input).unwrap_err();
+            assert_eq!(rerouted, whole, "input={input}");
+        }
+    }
+
+    /// A trace whose metadata is dense with multi-byte UTF-8 (variable
+    /// names, each padded with `pad` ASCII bytes), so the snippet margin
+    /// `pump` keeps after the `var_names` value starts inside a code
+    /// point for some pads and on a boundary for others.
+    fn unicode_trace(pad: usize) -> Trace {
+        let mut b = TraceBuilder::new();
+        let t2 = b.fork(ThreadId::MAIN);
+        let pad = "_".repeat(pad);
+        let vars: Vec<VarId> = (0..12)
+            .map(|i| b.var(&format!("αβγ—δ🧵ε{i}{pad}")))
+            .collect();
+        for (i, &v) in vars.iter().enumerate() {
+            b.write(ThreadId::MAIN, v, i as i64);
+            b.write(t2, v, -(i as i64));
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn multibyte_truncation_errors_match_the_tree_reader() {
+        let mut multibyte_snippets = 0usize;
+        for pad in 0..4 {
+            let json = to_json(&unicode_trace(pad));
+            let anchor = json.find("var_names").expect("metadata tail present");
+            for cut in (anchor..json.len()).filter(|&c| json.is_char_boundary(c)) {
+                let part = &json[..cut];
+                let whole = tree_from_json(part).unwrap_err();
+                for chunk in [1usize, 3, 16] {
+                    for format in [None, Some(StreamFormat::Json)] {
+                        let mut p =
+                            format.map_or_else(StreamParser::new, StreamParser::with_format);
+                        // The events arrive whole; the tail trickles in.
+                        let (head, tail) = part.as_bytes().split_at(anchor);
+                        let streamed = p
+                            .feed(head)
+                            .and_then(|()| tail.chunks(chunk).try_for_each(|c| p.feed(c)))
+                            .and_then(|()| p.finish())
+                            .unwrap_err();
+                        assert_eq!(
+                            streamed, whole,
+                            "pad={pad} cut={cut} chunk={chunk} {format:?}"
+                        );
+                    }
+                }
+                assert_eq!(from_json(part).unwrap_err(), whole, "pad={pad} cut={cut}");
+                multibyte_snippets += usize::from(!whole.snippet.is_ascii());
+            }
+        }
+        assert!(
+            multibyte_snippets >= 30,
+            "the sweep must put multi-byte text in the snippet: {multibyte_snippets}"
+        );
     }
 
     #[test]
@@ -1055,7 +1135,7 @@ mod tests {
         let input = r#"{"events":[],"initial_values":{"0":5},
             "initial_values":{"0":9},"wait_links":[],"volatiles":[],
             "future_field":{"x":[1,2]},"loc_names":{},"var_names":{}}"#;
-        let whole = from_json_data(input).unwrap();
+        let whole = tree_from_json_data(input).unwrap();
         let streamed = feed_all(input.as_bytes(), 9).unwrap();
         assert_eq!(streamed, whole);
         assert_eq!(streamed.initial_values[&VarId(0)], Value(5));
@@ -1079,7 +1159,7 @@ mod tests {
         assert!(p.metadata_complete(), "metadata came first");
         p.feed(&reordered.as_bytes()[half..]).unwrap();
         p.finish().unwrap();
-        assert_eq!(p.data(), &from_json_data(&reordered).unwrap());
+        assert_eq!(p.data(), &tree_from_json_data(&reordered).unwrap());
         assert_eq!(p.data().events, t.events());
     }
 

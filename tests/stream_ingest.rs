@@ -2,8 +2,11 @@
 //! whose shape stresses the window dispatcher (empty, shorter than one
 //! window, an exact multiple of the window size), NDJSON formatting slack
 //! (blank lines, missing trailing newline), and truncated input — which
-//! must surface the *same* `JsonError` text and byte offset the
-//! whole-file parser produces.
+//! must surface the *same* `JsonError` text and byte offset whether the
+//! bytes are decoded whole (`from_json`, the CLI without `--stream`) or
+//! streamed in chunks. Both paths run the one streaming decoder, so these
+//! tests pin chunking and format detection; the decoder itself is held to
+//! an independent tree-walking reader by `rvtrace`'s `stream` unit tests.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -122,9 +125,10 @@ fn ndjson_with_blank_lines_and_no_trailing_newline_parses() {
     assert!(stdout(&out).contains("1 race(s)"), "{}", stdout(&out));
 }
 
-/// Mid-event truncation: the streaming parser must report the same error
-/// message — including the byte offset and context snippet — that the
-/// whole-file parser reports for the identical bytes.
+/// Mid-event truncation: the CLI's `--stream` path (auto-detected format,
+/// chunked reads) must report the same error message — including the byte
+/// offset and context snippet — as its whole-file path (forced JSON
+/// format, one decode) for the identical bytes.
 #[test]
 fn truncation_error_offsets_match_whole_file_mode() {
     let t = trace_of_len(120);
@@ -200,7 +204,7 @@ fn unicode_trace() -> Trace {
 /// Multi-byte UTF-8 across chunk boundaries: a document heavy with
 /// non-ASCII names parses identically whether fed whole or in chunks of
 /// any size (including 1), and a truncation error carries the *same*
-/// message, byte offset and context snippet as the whole-file parser —
+/// message, byte offset and context snippet as a whole-file read —
 /// even when the retained snippet margin would land mid-code-point.
 #[test]
 fn multibyte_chunk_boundaries_match_whole_file_errors() {
@@ -244,14 +248,15 @@ fn multibyte_chunk_boundaries_match_whole_file_errors() {
     }
 }
 
-/// The snippet-margin regression, pinned against the *independent*
-/// whole-file parser: after the streaming parser drains consumed bytes,
-/// it keeps a snippet-sized margin — which must never be cut mid-code-
-/// point, or an error just past a unicode-dense frame lossy-decodes a
-/// replacement character the whole-file snippet does not have. Sweeping
-/// truncation points right after the unicode metadata catches exactly
-/// that: message, offset *and snippet* must match [`rvpredict::from_json`]
-/// byte for byte.
+/// The snippet-margin sweep at the library surface: after the streaming
+/// parser drains consumed bytes, it keeps a snippet-sized margin — which
+/// must never be cut mid-code-point, or an error just past a
+/// unicode-dense frame lossy-decodes a replacement character. Chunked
+/// streaming must match [`rvpredict::from_json`] (one whole-input decode)
+/// in message, offset *and snippet* at every truncation point through the
+/// unicode metadata. `from_json` runs the same decoder, so the snippets'
+/// fidelity to the document is pinned separately, against the tree
+/// reader, by `rvtrace`'s `multibyte_truncation_errors_match_the_tree_reader`.
 #[test]
 fn snippet_margin_never_splits_code_points() {
     let json = rvpredict::to_json(&unicode_trace());
