@@ -1,6 +1,6 @@
 //! The `BENCH_pr10.json` generator: the hot-path overhaul (arena trace
 //! storage, batched/incremental window sessions, tiers, slicing) vs the
-//! PR4-era baseline pipeline, plus the portfolio byte-identity matrix.
+//! PR4-era baseline pipeline.
 //!
 //! ```sh
 //! cargo run -p rvbench --release --bin perf_pipeline -- [--out BENCH_pr10.json]

@@ -21,13 +21,6 @@
 //! screens, exercising the sliced incremental solver core — see
 //! [`double_flag_workload`]).
 //!
-//! A fourth section races the determinism contract: the same residue
-//! workload is detected under `--portfolio` on/off × jobs 1/2/4/8 (batch
-//! off, incremental on, the only mode portfolio changes), and all eight
-//! `deterministic_summary` renderings must be byte-identical; the
-//! document records how many matched and a fingerprint of the common
-//! summary.
-//!
 //! ```sh
 //! cargo run -p rvbench --release --bin perf_pipeline -- --out BENCH_pr10.json
 //! ```
@@ -51,9 +44,7 @@
 //!                    "tier_confirmed": 1, "tier_refuted": 11200, "tier_residue": 0,
 //!                    "sliced_out": 0, "solver_solves": 0, "wall_time_us": 135320}}
 //!   ],
-//!   "speedup_x100": 21464,
-//!   "portfolio": {"name": "residue_small", "configs": 8, "matched": 8,
-//!                 "fingerprint": 1234567890}
+//!   "speedup_x100": 21464
 //! }
 //! ```
 //!
@@ -67,10 +58,9 @@
 //! largest workload (`speedup_x100 >= 500`), plus — summed over the
 //! optimized runs — non-zero `tier_refuted`, `sliced_out` and
 //! `solver_solves` (the screens screened, the slicer sliced, and the
-//! incremental core still solved a residue). The portfolio section must
-//! report `matched == configs` in every mode: byte-identity across
-//! portfolio on/off and worker counts is a hard invariant, not a
-//! full-run luxury.
+//! incremental core still solved a residue). Top-level keys the
+//! validator does not check (older documents carry one more section) are
+//! ignored.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -140,17 +130,6 @@ pub fn full_perf_workloads() -> Vec<Workload> {
     ]
 }
 
-/// The workload the portfolio byte-identity matrix runs on, per mode.
-/// Residue-heavy (so the racer actually races the screens) but small:
-/// the matrix detects it eight times.
-pub fn portfolio_workload(mode: &str) -> Workload {
-    if mode == "full" {
-        double_flag_workload("residue_small", 4, 12)
-    } else {
-        double_flag_workload("residue_tiny", 2, 6)
-    }
-}
-
 fn us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
@@ -167,7 +146,6 @@ fn baseline_config(opts: &PerfBenchOptions) -> DetectorConfig {
         tiers: false,
         batch_windows: false,
         incremental: false,
-        portfolio: false,
         ..Default::default()
     }
 }
@@ -237,55 +215,9 @@ fn write_run(out: &mut String, key: &str, run: &PerfRun) {
     );
 }
 
-/// FNV-1a over the summary bytes, masked into the non-negative `i64`
-/// range the integer-only JSON schema can carry.
-fn fingerprint(s: &str) -> i64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h & 0x7fff_ffff_ffff_ffff) as i64
-}
-
-/// Detects `workload` under portfolio on/off × jobs 1/2/4/8 (batch off,
-/// incremental on — the per-COP session mode portfolio races in) and
-/// returns `(configs, matched, fingerprint)` where `matched` counts the
-/// runs whose `deterministic_summary` equals the first one's.
-pub fn portfolio_matrix(workload: &Workload, opts: &PerfBenchOptions) -> (u64, u64, i64) {
-    let mut first: Option<String> = None;
-    let mut configs = 0u64;
-    let mut matched = 0u64;
-    for portfolio in [false, true] {
-        for jobs in [1usize, 2, 4, 8] {
-            let cfg = DetectorConfig {
-                batch_windows: false,
-                portfolio,
-                parallelism: jobs,
-                ..optimized_config(opts)
-            };
-            let summary = RaceDetector::with_config(cfg)
-                .detect(&workload.trace)
-                .deterministic_summary();
-            configs += 1;
-            match &first {
-                None => {
-                    first = Some(summary);
-                    matched += 1;
-                }
-                Some(f) if *f == summary => matched += 1,
-                Some(_) => {}
-            }
-        }
-    }
-    let fp = fingerprint(first.as_deref().unwrap_or(""));
-    (configs, matched, fp)
-}
-
 /// Runs each workload end-to-end under the baseline and optimized
-/// configurations (after `warmup_iters` untimed optimized passes), runs
-/// the portfolio byte-identity matrix, and returns the versioned
-/// document described in the module docs. `mode` is stamped into the
+/// configurations (after `warmup_iters` untimed optimized passes) and
+/// returns the versioned document described in the module docs. `mode` is stamped into the
 /// document and selects how much the validator enforces (`"full"` adds
 /// the speedup floor and the nonzero-counter invariants).
 pub fn run_perf_pipeline(workloads: &[Workload], opts: &PerfBenchOptions, mode: &str) -> String {
@@ -327,15 +259,7 @@ pub fn run_perf_pipeline(workloads: &[Workload], opts: &PerfBenchOptions, mode: 
     out.push_str("\n  ],\n");
     let (_, base_wall, opt_wall) = largest.expect("at least one workload");
     let speedup_x100 = (us(base_wall) as i64 * 100) / (us(opt_wall) as i64).max(1);
-    let _ = writeln!(out, "  \"speedup_x100\": {speedup_x100},");
-    let pw = portfolio_workload(mode);
-    let (configs, matched, fp) = portfolio_matrix(&pw, opts);
-    let _ = writeln!(
-        out,
-        "  \"portfolio\": {{\"name\": \"{}\", \"configs\": {configs}, \"matched\": {matched}, \
-         \"fingerprint\": {fp}}}",
-        pw.name,
-    );
+    let _ = writeln!(out, "  \"speedup_x100\": {speedup_x100}");
     out.push_str("}\n");
     out
 }
@@ -359,9 +283,8 @@ const RUN_INT_KEYS: [&str; 10] = [
 /// 1`), verdict equality (`races`, `sat`, `unsat`, `cops_solved`)
 /// between baseline and optimized on every workload, a clean baseline
 /// (zero tier counters, zero sliced events), optimized tier counters
-/// partitioning `cops_solved`, `speedup_x100` consistent with the
-/// largest workload's wall clocks, and portfolio byte-identity
-/// (`matched == configs`). `"full"` documents must additionally clear
+/// partitioning `cops_solved`, and `speedup_x100` consistent with the
+/// largest workload's wall clocks. `"full"` documents must additionally clear
 /// the ≥5x speedup floor on the largest workload and show non-zero
 /// optimized `tier_refuted`, `sliced_out` and `solver_solves` summed
 /// over the workloads. Returns a description of the first violation.
@@ -492,37 +415,6 @@ pub fn validate_perf_bench_json(json: &str) -> Result<(), String> {
              ({b_wall}/{o_wall}) give {expected}"
         ));
     }
-    let portfolio = doc
-        .field("portfolio")
-        .map_err(|e| format!("portfolio: {e}"))?;
-    let pfield = |key: &str| -> Result<i64, String> {
-        portfolio
-            .field(key)
-            .and_then(|v| v.as_int())
-            .map_err(|e| format!("portfolio.{key}: {e}"))
-    };
-    portfolio
-        .field("name")
-        .and_then(|v| v.as_str().map(str::to_string))
-        .map_err(|e| format!("portfolio.name: {e}"))?;
-    let configs = pfield("configs")?;
-    let matched = pfield("matched")?;
-    let fp = pfield("fingerprint")?;
-    if configs < 2 {
-        return Err(format!(
-            "portfolio.configs is {configs}; the matrix must cover at least \
-             portfolio on and off"
-        ));
-    }
-    if matched != configs {
-        return Err(format!(
-            "portfolio matched {matched} of {configs} configs — reports must be \
-             byte-identical across portfolio on/off and worker counts"
-        ));
-    }
-    if fp < 0 {
-        return Err(format!("portfolio.fingerprint is negative ({fp})"));
-    }
     if mode == "full" {
         if speedup < PERF_SPEEDUP_FLOOR_X100 {
             return Err(format!(
@@ -620,8 +512,7 @@ mod tests {
       "tier_confirmed": 1, "tier_refuted": 3, "tier_residue": 1,
       "sliced_out": 7, "solver_solves": 1, "wall_time_us": 100}}
   ],
-  "speedup_x100": 600,
-  "portfolio": {"name": "p", "configs": 8, "matched": 8, "fingerprint": 42}
+  "speedup_x100": 600
 }"#;
         validate_perf_bench_json(good).unwrap();
         // Verdict disagreement between the two runs.
@@ -649,11 +540,6 @@ mod tests {
         assert!(validate_perf_bench_json(&cold)
             .unwrap_err()
             .contains("warmup_iters"));
-        // Portfolio byte-identity is enforced in every mode.
-        let diverged = good.replace("\"matched\": 8", "\"matched\": 7");
-        assert!(validate_perf_bench_json(&diverged)
-            .unwrap_err()
-            .contains("byte-identical"));
         // Full mode: the speedup floor...
         let full = good.replace("\"mode\": \"smoke\"", "\"mode\": \"full\"");
         validate_perf_bench_json(&full).unwrap();

@@ -155,27 +155,19 @@ pub struct DetectorConfig {
     pub phase_hints: bool,
     /// Batch all of a window's COPs into one incremental solver with
     /// per-COP selector assumptions, sharing the base encoding and learnt
-    /// clauses (instead of re-encoding and re-solving per COP). Same
-    /// verdicts, much less work; off only for ablation.
+    /// clauses. Off selects per-COP mode: a fresh encoding and solver per
+    /// COP, the reference configuration the differential suites and the
+    /// bench baselines compare against. Same verdicts either way.
     pub batch_windows: bool,
-    /// Keep one incremental solver session resident per window and retain
-    /// learnt clauses across COP queries. In batch mode this is the shared
-    /// selector-assumption solver; in per-COP mode it switches the driver
-    /// to an incremental session that encodes the window's union cone once
-    /// and discharges each residue COP as an assumption set instead of
-    /// encoding from scratch. Retained clauses are sound to keep because
-    /// assumptions are never asserted: every learnt clause is implied by
-    /// the shared skeleton alone (see DESIGN.md, "Hot path"). Same
-    /// verdicts; exposed as CLI `--no-incremental` for ablation.
+    /// Keep the batched window's shared selector-assumption solver
+    /// resident across the window's COP queries, retaining learnt clauses
+    /// (off: rebuild the solver over the shared encoding per query). Read
+    /// only in batch mode: per-COP mode (`batch_windows` off) always
+    /// encodes and solves each COP fresh. Retained clauses are sound to
+    /// keep because assumptions are never asserted: every learnt clause is
+    /// implied by the shared skeleton alone (see DESIGN.md, "Hot path").
+    /// Same verdicts; exposed as CLI `--no-incremental` for ablation.
     pub incremental: bool,
-    /// Race the incremental SMT encoding against the tier screens per COP
-    /// on a cloned solver, first verdict wins (CLI `--portfolio`).
-    /// Implies per-COP incremental sessions (`batch_windows` off,
-    /// `incremental` on). Cancelled solver results are always discarded
-    /// and screen verdicts are adopted with zero solver effort, so
-    /// reports, count-type metrics and witnesses are byte-identical with
-    /// portfolio on or off at any `parallelism`. Off by default.
-    pub portfolio: bool,
     /// Upper bound on concrete COPs kept per signature per window: once a
     /// signature has this many, further pairs with that signature are
     /// dropped. It bounds the COPs handed to the tiers and the solver, not
@@ -234,7 +226,6 @@ impl Default for DetectorConfig {
             phase_hints: true,
             batch_windows: true,
             incremental: true,
-            portfolio: false,
             max_cops_per_signature: 10,
             parallelism: default_parallelism(),
             retry_split: false,
@@ -291,7 +282,6 @@ mod tests {
             c.incremental,
             "incremental solver sessions are on by default"
         );
-        assert!(!c.portfolio, "portfolio racing is opt-in");
         assert_eq!(c.mode, ConsistencyMode::ControlFlow);
         assert!(c.parallelism >= 1, "at least one worker");
         assert!(!c.retry_split, "retry policy is opt-in");

@@ -4,6 +4,18 @@
 //! survivors, solve with a per-COP budget, extract and validate a witness on
 //! SAT, and deduplicate by signature across the whole run.
 //!
+//! # Solve paths
+//!
+//! A window's COPs take one of two paths, chosen by
+//! [`DetectorConfig::batch_windows`]: the *batched* window session (the
+//! default — one shared encoding, one selector query per COP, learnt
+//! clauses retained unless `incremental` is off) or *per-COP fresh* (one
+//! encoding and one solver per COP, the reference configuration). The
+//! per-COP pass, the cone-mode straddle pass, the split-window retry and
+//! the canonical witness all encode and solve through one function, and
+//! every solver result becomes a verdict through one function, so the
+//! paths differ only in how the formula is built and queried.
+//!
 //! # Parallel driver
 //!
 //! Windows are independent solving problems (each gets its own encoder and
@@ -51,7 +63,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 use std::io::Read;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -67,7 +79,7 @@ use crate::encoder::{encode, encode_window, encode_with_skeleton, EncoderOptions
 use crate::report::{DetectionReport, FailedWindow, RaceReport, SolverTotals, UndecidedReason};
 use crate::slice::WindowSkeleton;
 use crate::tiers::{Tier, TierAnalysis, TierDecision};
-use crate::witness::{extract_witness, Witness};
+use crate::witness::extract_witness;
 
 /// How one COP fared inside a worker. `Skipped` records mark COPs the
 /// worker never solved because their signature was locally confirmed
@@ -126,8 +138,31 @@ struct CopRecord {
     ext_range: Option<std::ops::Range<usize>>,
 }
 
+impl CopRecord {
+    /// A record that encoded nothing and spent no solver effort.
+    fn new(
+        cop: Cop,
+        signature: RaceSignature,
+        verdict: CopVerdict,
+        decided_by: Option<Tier>,
+    ) -> Self {
+        CopRecord {
+            cop,
+            signature,
+            verdict,
+            profile: SolverTotals::default(),
+            retried: false,
+            cone_events: 0,
+            window_events: 0,
+            constraints: 0,
+            decided_by,
+            ext_range: None,
+        }
+    }
+}
+
 /// Everything a worker learned about one window; merged in window order.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct SolvedWindow {
     window_index: usize,
     range: std::ops::Range<usize>,
@@ -147,6 +182,40 @@ struct SolvedWindow {
     /// start (zero without a straddle plan). Deterministic: a pure
     /// function of the trace prefix and the spill budget.
     spill_events: usize,
+}
+
+/// One window's solve state, shared by its passes: the window pass, the
+/// split-window retry and the straddle pass.
+struct WindowPass {
+    opts: EncoderOptions,
+    /// The per-COP solver budget.
+    budget: Budget,
+    /// The per-window wall-clock deadline (`--timeout-ms`, or a daemon
+    /// tenant budget). COPs reached after it are recorded as
+    /// `Undecided(Timeout)` — same verdict path in per-COP and batched
+    /// mode — and per-COP solver budgets are clamped to the remainder.
+    deadline: Option<Instant>,
+    /// Snapshot of merge-confirmed signatures. Only ever used to *skip*
+    /// solves whose records the merge replay is guaranteed to discard.
+    known_racy: HashSet<RaceSignature>,
+    /// Signatures confirmed inside this window, shared by the normal pass
+    /// and the straddle pass, so a straddling COP whose signature an
+    /// in-window COP already confirmed dedups exactly like any same-window
+    /// duplicate — deterministically, at every thread count (the set is
+    /// window-local; the merge replay re-checks everything cross-window).
+    local_confirmed: HashSet<RaceSignature>,
+    out: SolvedWindow,
+}
+
+impl WindowPass {
+    /// Appends a record; a race confirms its signature for the rest of
+    /// the window.
+    fn push(&mut self, record: CopRecord) {
+        if matches!(record.verdict, CopVerdict::Race(_)) {
+            self.local_confirmed.insert(record.signature);
+        }
+        self.out.records.push(record);
+    }
 }
 
 /// What a worker hands to the merge loop: the window's records, or — when
@@ -207,37 +276,6 @@ pub(crate) fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Maps a solver budget exhaustion to its verdict accounting.
-fn undecided_of_stop(reason: StopReason) -> UndecidedReason {
-    match reason {
-        StopReason::Timeout => UndecidedReason::Timeout,
-        StopReason::Conflicts => UndecidedReason::ConflictBudget,
-        // Cancelled results carry no verdict and are discarded by the
-        // portfolio driver before they can reach a record; this arm is
-        // defensive (a cancellation is budget-shaped, so account it as
-        // one if it ever leaks).
-        StopReason::Cancelled => UndecidedReason::Timeout,
-    }
-}
-
-/// The record of a Tier B refutation: `Φ` is entailment-unsatisfiable, so
-/// the verdict is exactly the solver's `Unsat` — with no encoding and no
-/// solver effort to account.
-fn tier_refuted_record(cop: Cop, signature: RaceSignature) -> CopRecord {
-    CopRecord {
-        cop,
-        signature,
-        verdict: CopVerdict::Unsat,
-        profile: SolverTotals::default(),
-        retried: false,
-        cone_events: 0,
-        window_events: 0,
-        constraints: 0,
-        decided_by: Some(Tier::B),
-        ext_range: None,
-    }
-}
-
 /// True once the window's wall-clock deadline (if any) has passed.
 fn past_deadline(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
@@ -253,24 +291,6 @@ fn clamp_budget(budget: &Budget, deadline: Option<Instant>) -> Budget {
     Budget {
         timeout: Some(budget.timeout.map_or(remaining, |t| t.min(remaining))),
         ..*budget
-    }
-}
-
-/// The record of a COP reached after the window deadline expired: the
-/// exact `Undecided(Timeout)` record a per-COP budget exhaustion leaves,
-/// with no encoding and no solver effort to account.
-fn deadline_expired_record(cop: Cop, signature: RaceSignature, cascade_on: bool) -> CopRecord {
-    CopRecord {
-        cop,
-        signature,
-        verdict: CopVerdict::Undecided(UndecidedReason::Timeout),
-        profile: SolverTotals::default(),
-        retried: false,
-        cone_events: 0,
-        window_events: 0,
-        constraints: 0,
-        decided_by: cascade_on.then_some(Tier::Solver),
-        ext_range: None,
     }
 }
 
@@ -290,9 +310,6 @@ impl PublishedSet {
         PublishedSet::default()
     }
 }
-
-/// Signatures confirmed by the merge loop, readable by in-flight workers.
-type Published = PublishedSet;
 
 /// One window of streamed detection work: the window's range, the boundary
 /// state (lock/value carry) at its start, and an [`Arc`] snapshot of a
@@ -438,7 +455,7 @@ impl RaceDetector {
             // Inline solve-then-merge per window. The published set is
             // always fully caught up here, so the early-skip rules fire
             // exactly as in the historical serial driver.
-            let published: Published = PublishedSet::new();
+            let published = PublishedSet::new();
             for (index, view) in views.iter().enumerate() {
                 let plan = plans.get(index).and_then(Option::as_ref);
                 let outcome = self.solve_window_isolated(index, view, plan, Some(&published));
@@ -479,7 +496,7 @@ impl RaceDetector {
         let mut confirmed: HashSet<RaceSignature> = HashSet::new();
         let workers = self.config.parallelism.max(1);
         let size = self.config.window_size;
-        let published: Published = PublishedSet::new();
+        let published = PublishedSet::new();
         // Plans are tiny relative to views (only straddling windows carry
         // one), so computing them eagerly keeps residency claims about
         // *views* intact.
@@ -542,17 +559,7 @@ impl RaceDetector {
                         }
                     }
                 });
-                let mut pending: BTreeMap<usize, WindowOutcome> = BTreeMap::new();
-                let mut cursor = 0usize;
-                for outcome in out_rx {
-                    pending.insert(outcome.window_index(), outcome);
-                    while let Some(outcome) = pending.remove(&cursor) {
-                        self.merge_outcome(outcome, &mut report, &mut confirmed, Some(published));
-                        note_first_race(&mut report, start);
-                        cursor += 1;
-                    }
-                }
-                debug_assert!(pending.is_empty(), "every window outcome merged");
+                self.merge_in_order(out_rx, &mut report, &mut confirmed, published, start);
             });
             report.stats.peak_window_residency = peak.load(Ordering::Relaxed);
         }
@@ -586,7 +593,7 @@ impl RaceDetector {
         let start = Instant::now();
         let workers = self.config.parallelism.max(1);
         let size = self.config.window_size.max(1);
-        let published: Published = PublishedSet::new();
+        let published = PublishedSet::new();
         let residency = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
         let (job_tx, job_rx) = mpsc::sync_channel::<StreamJob>(workers + 2);
@@ -624,17 +631,7 @@ impl RaceDetector {
             let merger = scope.spawn(move || {
                 let mut report = DetectionReport::default();
                 let mut confirmed: HashSet<RaceSignature> = HashSet::new();
-                let mut pending: BTreeMap<usize, WindowOutcome> = BTreeMap::new();
-                let mut cursor = 0usize;
-                for outcome in out_rx {
-                    pending.insert(outcome.window_index(), outcome);
-                    while let Some(outcome) = pending.remove(&cursor) {
-                        self.merge_outcome(outcome, &mut report, &mut confirmed, Some(published));
-                        note_first_race(&mut report, start);
-                        cursor += 1;
-                    }
-                }
-                debug_assert!(pending.is_empty(), "every window outcome merged");
+                self.merge_in_order(out_rx, &mut report, &mut confirmed, published, start);
                 report
             });
             // Ingest + dispatch on this thread. The immediately-invoked
@@ -778,7 +775,7 @@ impl RaceDetector {
         confirmed: &mut HashSet<RaceSignature>,
         start: Instant,
     ) {
-        let published: Published = PublishedSet::new();
+        let published = PublishedSet::new();
         let next_window = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<WindowOutcome>();
         std::thread::scope(|scope| {
@@ -797,19 +794,7 @@ impl RaceDetector {
                 });
             }
             drop(tx);
-            // Outcomes arrive in completion order; buffer and merge them in
-            // window order so dedup decisions are reproducible.
-            let mut pending: BTreeMap<usize, WindowOutcome> = BTreeMap::new();
-            let mut cursor = 0usize;
-            for outcome in rx {
-                pending.insert(outcome.window_index(), outcome);
-                while let Some(outcome) = pending.remove(&cursor) {
-                    self.merge_outcome(outcome, report, confirmed, Some(published));
-                    note_first_race(report, start);
-                    cursor += 1;
-                }
-            }
-            debug_assert!(pending.is_empty(), "every window outcome merged");
+            self.merge_in_order(rx, report, confirmed, published, start);
         });
     }
 
@@ -822,7 +807,7 @@ impl RaceDetector {
         window_index: usize,
         view: &View<'_>,
         plan: Option<&StraddlePlan>,
-        published: Option<&Published>,
+        published: Option<&PublishedSet>,
     ) -> WindowOutcome {
         let solve =
             std::panic::AssertUnwindSafe(|| self.solve_window(window_index, view, plan, published));
@@ -874,126 +859,69 @@ impl RaceDetector {
         window_index: usize,
         view: &View<'_>,
         plan: Option<&StraddlePlan>,
-        published: Option<&Published>,
+        published: Option<&PublishedSet>,
     ) -> SolvedWindow {
         let window_start = Instant::now();
         let cfg = &self.config;
-        // The per-window wall-clock budget (`--timeout-ms`, or a daemon
-        // tenant budget). COPs reached after the deadline are recorded as
-        // `Undecided(Timeout)` — same verdict path in per-COP and batched
-        // mode — and per-COP solver budgets are clamped to the remainder.
-        // (An unrepresentable deadline — overflowing `Instant` — means the
-        // budget can never fire, i.e. unbounded.)
-        let deadline = cfg.window_timeout.and_then(|t| window_start.checked_add(t));
         let enumeration = enumerate_cops(view, cfg.quick_check, cfg.max_cops_per_signature);
-        let budget = Budget {
-            max_conflicts: cfg.max_conflicts,
-            timeout: Some(cfg.solver_timeout),
-        };
-        let opts = EncoderOptions {
-            mode: cfg.mode,
-            prune_write_sets: cfg.prune_write_sets,
-            slice: cfg.slice,
-        };
-        // Snapshot of merge-confirmed signatures. Only ever used to *skip*
-        // solves whose records the merge replay is guaranteed to discard.
-        // When a fault plan is active the snapshot is left empty: which
-        // signatures have been published when a window starts depends on
-        // worker timing, and a timing-dependent skip would shift fault
-        // coordinates between runs. (Verdicts never depend on the skip, but
-        // fault coordinates index the solve order, which does.)
-        let known_racy: HashSet<RaceSignature> =
-            match (cfg.dedup_signatures && cfg.fault_plan.is_none(), published) {
+        let mut w = WindowPass {
+            opts: EncoderOptions {
+                mode: cfg.mode,
+                prune_write_sets: cfg.prune_write_sets,
+                slice: cfg.slice,
+            },
+            budget: Budget {
+                max_conflicts: cfg.max_conflicts,
+                timeout: Some(cfg.solver_timeout),
+            },
+            // (An unrepresentable deadline — overflowing `Instant` — means
+            // the budget can never fire, i.e. unbounded.)
+            deadline: cfg.window_timeout.and_then(|t| window_start.checked_add(t)),
+            // When a fault plan is active the snapshot is left empty: which
+            // signatures have been published when a window starts depends
+            // on worker timing, and a timing-dependent skip would shift
+            // fault coordinates between runs. (Verdicts never depend on the
+            // skip, but fault coordinates index the solve order, which
+            // does.)
+            known_racy: match (cfg.dedup_signatures && cfg.fault_plan.is_none(), published) {
                 (true, Some(p)) => {
                     p.0.read()
                         .unwrap_or_else(std::sync::PoisonError::into_inner)
                         .clone()
                 }
                 _ => HashSet::new(),
-            };
-        let mut out = SolvedWindow {
-            window_index,
-            range: view.range(),
-            pairs_considered: enumeration.pairs_considered,
-            qc_signatures: enumeration.qc_signatures,
-            records: Vec::with_capacity(enumeration.cops.len()),
-            solver_time: Duration::ZERO,
-            window_time: Duration::ZERO,
-            tier_a_time: Duration::ZERO,
-            tier_b_time: Duration::ZERO,
-            spill_events: 0,
+            },
+            local_confirmed: HashSet::new(),
+            out: SolvedWindow {
+                window_index,
+                range: view.range(),
+                pairs_considered: enumeration.pairs_considered,
+                qc_signatures: enumeration.qc_signatures,
+                records: Vec::with_capacity(enumeration.cops.len()),
+                ..SolvedWindow::default()
+            },
         };
-        // Signatures confirmed inside this window, shared by the normal
-        // pass and the straddle pass below, so a straddling COP whose
-        // signature an in-window COP already confirmed dedups exactly like
-        // any same-window duplicate — deterministically, at every thread
-        // count (the set is window-local; the merge replay re-checks
-        // everything cross-window).
-        let mut local_confirmed: HashSet<RaceSignature> = HashSet::new();
         // The tiered cascade shares one per-window analysis (base
         // entailment graph + memoized read facts) across all COPs.
         let mut tiers = (cfg.tiers && !enumeration.cops.is_empty())
             .then(|| TierAnalysis::new(view, cfg.mode, cfg.prune_write_sets));
-        // Portfolio racing implies per-COP incremental sessions: it wins
-        // the dispatch over `batch_windows` so `portfolio: true` works
-        // regardless of how the other knobs were left.
-        if cfg.batch_windows && !cfg.portfolio {
-            self.solve_window_batched(
-                view,
-                enumeration.cops,
-                opts,
-                &budget,
-                deadline,
-                &known_racy,
-                tiers.as_mut(),
-                &mut local_confirmed,
-                &mut out,
-            );
-        } else if cfg.incremental || cfg.portfolio {
-            self.solve_window_incremental(
-                view,
-                enumeration.cops,
-                opts,
-                &budget,
-                deadline,
-                &known_racy,
-                tiers.as_mut(),
-                &mut local_confirmed,
-                &mut out,
-            );
+        if cfg.batch_windows {
+            self.solve_window_batched(view, enumeration.cops, tiers.as_mut(), &mut w);
         } else {
-            self.solve_window_per_cop(
-                view,
-                enumeration.cops,
-                opts,
-                &budget,
-                deadline,
-                &known_racy,
-                tiers.as_mut(),
-                &mut local_confirmed,
-                &mut out,
-            );
+            self.solve_cops_fresh(view, &enumeration.cops, true, None, tiers.as_mut(), &mut w);
         }
         if let Some(t) = &tiers {
-            out.tier_a_time = t.tier_a_time();
-            out.tier_b_time = t.tier_b_time();
+            w.out.tier_a_time = t.tier_a_time();
+            w.out.tier_b_time = t.tier_b_time();
         }
         if cfg.retry_split {
-            self.retry_timeouts(view, opts, &budget, deadline, &mut out);
+            self.retry_timeouts(view, &mut w);
         }
         if let Some(plan) = plan {
-            self.solve_straddles(
-                view,
-                plan,
-                &budget,
-                deadline,
-                &known_racy,
-                &mut local_confirmed,
-                &mut out,
-            );
+            self.solve_straddles(view, plan, &mut w);
         }
-        out.window_time = window_start.elapsed();
-        out
+        w.out.window_time = window_start.elapsed();
+        w.out
     }
 
     /// One-shot retry for budget exhaustion: each `Undecided(Timeout)` COP
@@ -1004,15 +932,9 @@ impl RaceDetector {
     /// the fault plan is deliberately not consulted (an injected
     /// `Fault::Timeout` may be rescued here, which is itself useful for
     /// testing the policy).
-    fn retry_timeouts(
-        &self,
-        view: &View<'_>,
-        opts: EncoderOptions,
-        budget: &Budget,
-        deadline: Option<Instant>,
-        out: &mut SolvedWindow,
-    ) {
-        let needs_retry = out
+    fn retry_timeouts(&self, view: &View<'_>, w: &mut WindowPass) {
+        let needs_retry = w
+            .out
             .records
             .iter()
             .any(|r| matches!(r.verdict, CopVerdict::Undecided(UndecidedReason::Timeout)));
@@ -1022,8 +944,7 @@ impl RaceDetector {
         let Some((first, second)) = view.split() else {
             return;
         };
-        let cfg = &self.config;
-        for record in out.records.iter_mut() {
+        for record in w.out.records.iter_mut() {
             if !matches!(
                 record.verdict,
                 CopVerdict::Undecided(UndecidedReason::Timeout)
@@ -1039,46 +960,20 @@ impl RaceDetector {
             };
             // No retries past the window deadline: the budget that killed
             // the first solve has run out for good.
-            if past_deadline(deadline) {
+            if past_deadline(w.deadline) {
                 continue;
             }
             record.retried = true;
             let solve_start = Instant::now();
-            let budget = &clamp_budget(budget, deadline);
-            let encoded = encode(half, record.cop, opts);
-            let mut solver = Solver::new(&encoded.fb);
-            if cfg.phase_hints {
-                solver.hint_atom_phases(|a| encoded.phase_hint(a));
-            }
-            record.verdict = match solver.solve(budget) {
-                SmtResult::Unsat => CopVerdict::Unsat,
-                SmtResult::Unknown(reason) => CopVerdict::Undecided(undecided_of_stop(reason)),
-                SmtResult::Sat => {
-                    if cfg.validate_witnesses {
-                        let witness = if opts.slicing_active() {
-                            // `encode` sliced the half-window formula; the
-                            // reported witness must come from the
-                            // canonical unsliced solve.
-                            self.canonical_witness(half, record.cop, opts, budget)
-                        } else {
-                            extract_witness(half, record.cop, &encoded, &solver, cfg.mode)
-                                .map_err(|_| ())
-                        };
-                        match witness {
-                            Ok(witness) => CopVerdict::Race(witness.schedule),
-                            Err(()) => CopVerdict::WitnessFailed,
-                        }
-                    } else {
-                        CopVerdict::Race(Schedule(vec![record.cop.first, record.cop.second]))
-                    }
-                }
-            };
-            out.solver_time += solve_start.elapsed();
+            let budget = &clamp_budget(&w.budget, w.deadline);
+            let retry = self.solve_fresh(half, None, record.cop, w.opts, budget);
+            w.out.solver_time += solve_start.elapsed();
+            record.verdict = retry.verdict;
             // The retry is a second solver invocation on the same COP: its
             // effort accumulates into the record's profile (the original
             // timed-out solve is already in there), so the COP is counted
             // once in `cops_solved` but both solves are in the totals.
-            record.profile.record_solve(&solver.stats().sat);
+            record.profile.add(&retry.profile);
         }
     }
 
@@ -1100,190 +995,143 @@ impl RaceDetector {
         }
     }
 
-    /// Per-COP mode: a fresh encoding and solver per COP. Solves are
-    /// independent, so skipping a known-redundant COP cannot perturb any
-    /// other verdict — the `known_racy` skip is safe at COP granularity.
-    fn solve_window_per_cop(
+    /// The record of a COP that never reaches a screen or the solver, if
+    /// any: a planned fault at `fault_index` (`None` where fault
+    /// coordinates do not apply), an expired window deadline, or a `skip`
+    /// (its signature is already confirmed). Faults fire before any skip so
+    /// a planned coordinate always takes effect, at every thread count; a
+    /// COP reached after the deadline gets the exact `Undecided(Timeout)`
+    /// record a per-COP budget exhaustion leaves.
+    fn preempted(
         &self,
-        view: &View<'_>,
-        cops: Vec<Cop>,
-        opts: EncoderOptions,
-        budget: &Budget,
-        deadline: Option<Instant>,
-        known_racy: &HashSet<RaceSignature>,
-        mut tiers: Option<&mut TierAnalysis<'_>>,
-        local_confirmed: &mut HashSet<RaceSignature>,
-        out: &mut SolvedWindow,
-    ) {
-        let cfg = &self.config;
+        w: &WindowPass,
+        fault_index: Option<usize>,
+        cop: Cop,
+        signature: RaceSignature,
+        skip: bool,
+        cascade_on: bool,
+    ) -> Option<CopRecord> {
         // With the cascade off every record's stage is `None`, so the
         // tier counters stay zero under `--no-tiers`.
-        let cascade_on = tiers.is_some();
-        // One skeleton per window: its indexes are shared by every COP's
-        // cone computation.
-        let skel = opts.slicing_active().then(|| WindowSkeleton::new(view));
-        for (cop_index, cop) in cops.into_iter().enumerate() {
-            let signature = RaceSignature::of_cop(view.trace(), cop);
-            // Faults fire before any skip so a planned coordinate always
-            // takes effect, at every thread count.
-            if let Some(verdict) = self.apply_fault(out.window_index, cop_index) {
-                out.records.push(CopRecord {
-                    cop,
-                    signature,
-                    verdict,
-                    profile: SolverTotals::default(),
-                    retried: false,
-                    cone_events: 0,
-                    window_events: 0,
-                    constraints: 0,
-                    decided_by: cascade_on.then_some(Tier::Solver),
-                    ext_range: None,
-                });
-                continue;
-            }
-            // Window budget exhausted: every remaining COP degrades to the
-            // per-COP-timeout verdict — no screens, no encoding, no solve.
-            if past_deadline(deadline) {
-                out.records
-                    .push(deadline_expired_record(cop, signature, cascade_on));
-                continue;
-            }
-            if cfg.dedup_signatures
-                && (local_confirmed.contains(&signature) || known_racy.contains(&signature))
-            {
-                out.records.push(CopRecord {
-                    cop,
-                    signature,
-                    verdict: CopVerdict::Skipped,
-                    profile: SolverTotals::default(),
-                    retried: false,
-                    cone_events: 0,
-                    window_events: 0,
-                    constraints: 0,
-                    decided_by: None,
-                    ext_range: None,
-                });
-                continue;
-            }
-            // The tiered screens decide most COPs without an encoding;
-            // whatever they leave is the residue the solver sees.
-            if let Some(t) = tiers.as_deref_mut() {
-                match t.decide(&cop) {
-                    TierDecision::Confirmed => {
-                        let budget = &clamp_budget(budget, deadline);
-                        let record =
-                            self.tier_confirmed_record(view, cop, signature, opts, budget, out);
-                        if matches!(record.verdict, CopVerdict::Race(_)) {
-                            local_confirmed.insert(signature);
-                        }
-                        out.records.push(record);
-                        continue;
-                    }
-                    TierDecision::Refuted => {
-                        out.records.push(tier_refuted_record(cop, signature));
-                        continue;
-                    }
-                    TierDecision::Residue => {}
-                }
-            }
-            let solve_start = Instant::now();
-            let budget = &clamp_budget(budget, deadline);
-            let encoded = match &skel {
-                Some(s) => encode_with_skeleton(s, cop, opts),
-                None => encode(view, cop, opts),
-            };
-            let mut solver = Solver::new(&encoded.fb);
-            if cfg.phase_hints {
-                solver.hint_atom_phases(|a| encoded.phase_hint(a));
-            }
-            let verdict = match solver.solve(budget) {
-                SmtResult::Unsat => CopVerdict::Unsat,
-                SmtResult::Unknown(reason) => CopVerdict::Undecided(undecided_of_stop(reason)),
-                SmtResult::Sat => {
-                    if cfg.validate_witnesses {
-                        let witness = if skel.is_some() {
-                            // Sliced model: re-solve unsliced for the
-                            // canonical witness (see `canonical_witness`).
-                            self.canonical_witness(view, cop, opts, budget)
-                        } else {
-                            extract_witness(view, cop, &encoded, &solver, cfg.mode).map_err(|_| ())
-                        };
-                        match witness {
-                            Ok(witness) => {
-                                local_confirmed.insert(signature);
-                                CopVerdict::Race(witness.schedule)
-                            }
-                            Err(()) => CopVerdict::WitnessFailed,
-                        }
-                    } else {
-                        local_confirmed.insert(signature);
-                        CopVerdict::Race(Schedule(vec![cop.first, cop.second]))
-                    }
-                }
-            };
-            out.solver_time += solve_start.elapsed();
-            // Fresh solver per COP: its lifetime stats *are* this solve's
-            // delta.
-            let mut profile = SolverTotals::default();
-            profile.record_solve(&solver.stats().sat);
-            out.records.push(CopRecord {
-                cop,
-                signature,
-                verdict,
-                profile,
-                retried: false,
-                cone_events: encoded.cone_events,
-                window_events: encoded.window_events,
-                constraints: encoded.n_constraints,
-                decided_by: cascade_on.then_some(Tier::Solver),
-                ext_range: None,
-            });
+        let stage = cascade_on.then_some(Tier::Solver);
+        if let Some(verdict) = fault_index.and_then(|i| self.apply_fault(w.out.window_index, i)) {
+            return Some(CopRecord::new(cop, signature, verdict, stage));
         }
+        if past_deadline(w.deadline) {
+            let verdict = CopVerdict::Undecided(UndecidedReason::Timeout);
+            return Some(CopRecord::new(cop, signature, verdict, stage));
+        }
+        skip.then(|| CopRecord::new(cop, signature, CopVerdict::Skipped, None))
     }
 
-    /// The record of a Tier A confirmation: the verdict is a race, and the
-    /// reported schedule is the canonical fresh-solve witness — the exact
-    /// schedule every solver path reports — so reports are byte-identical
-    /// to solver-only mode. The cascade never zeroes a planned witness: a
-    /// canonical solve that fails at a budget boundary is reported
-    /// honestly as a witness failure, just like the solver paths.
-    fn tier_confirmed_record(
+    /// The record of a COP the tier screens decided; `None` for the
+    /// residue, which goes on to the solver. A Tier B refutation is
+    /// exactly the solver's `Unsat` (`Φ` is entailment-unsatisfiable). A
+    /// Tier A confirmation reports the canonical fresh-solve witness — the
+    /// exact schedule every solver path reports — so reports are
+    /// byte-identical to solver-only mode; a canonical solve that fails at
+    /// a budget boundary is reported honestly as a witness failure.
+    fn screened(
         &self,
         view: &View<'_>,
         cop: Cop,
         signature: RaceSignature,
-        opts: EncoderOptions,
-        budget: &Budget,
-        out: &mut SolvedWindow,
-    ) -> CopRecord {
-        let verdict = if self.config.validate_witnesses {
-            let solve_start = Instant::now();
-            let witness = self.canonical_witness(view, cop, opts, budget);
-            out.solver_time += solve_start.elapsed();
-            match witness {
-                Ok(witness) => CopVerdict::Race(witness.schedule),
-                Err(()) => CopVerdict::WitnessFailed,
+        decision: TierDecision,
+        w: &mut WindowPass,
+    ) -> Option<CopRecord> {
+        match decision {
+            TierDecision::Confirmed => {
+                let budget = &clamp_budget(&w.budget, w.deadline);
+                let solve_start = Instant::now();
+                let verdict = self.verdict_of(SmtResult::Sat, cop, || {
+                    self.canonical_schedule(view, cop, w.opts, budget)
+                });
+                w.out.solver_time += solve_start.elapsed();
+                Some(CopRecord::new(cop, signature, verdict, Some(Tier::A)))
             }
-        } else {
-            CopVerdict::Race(Schedule(vec![cop.first, cop.second]))
-        };
-        CopRecord {
-            cop,
-            signature,
-            verdict,
-            profile: SolverTotals::default(),
-            retried: false,
-            cone_events: 0,
-            window_events: 0,
-            constraints: 0,
-            decided_by: Some(Tier::A),
-            ext_range: None,
+            TierDecision::Refuted => Some(CopRecord::new(
+                cop,
+                signature,
+                CopVerdict::Unsat,
+                Some(Tier::B),
+            )),
+            TierDecision::Residue => None,
         }
     }
 
-    /// The canonical witness for a SAT verdict: a fresh *unsliced* glued
-    /// encoding of the COP, solved from scratch with phase hints, and the
-    /// witness extracted from that model. Used whenever the verdict came
+    /// Maps a solver result to a verdict: budget exhaustion is
+    /// `Undecided`, and SAT is a race whose schedule comes from `witness`
+    /// when witnesses are validated (`None` there is a witness failure,
+    /// never a silent drop) and is the bare COP pair when they are not.
+    fn verdict_of(
+        &self,
+        result: SmtResult,
+        cop: Cop,
+        witness: impl FnOnce() -> Option<Schedule>,
+    ) -> CopVerdict {
+        match result {
+            SmtResult::Unsat => CopVerdict::Unsat,
+            SmtResult::Unknown(StopReason::Timeout) => {
+                CopVerdict::Undecided(UndecidedReason::Timeout)
+            }
+            SmtResult::Unknown(StopReason::Conflicts) => {
+                CopVerdict::Undecided(UndecidedReason::ConflictBudget)
+            }
+            SmtResult::Sat if !self.config.validate_witnesses => {
+                CopVerdict::Race(Schedule(vec![cop.first, cop.second]))
+            }
+            SmtResult::Sat => witness().map_or(CopVerdict::WitnessFailed, CopVerdict::Race),
+        }
+    }
+
+    /// Encodes `cop` fresh against `view` — through the view's shared
+    /// `skel` when one is given — solves it from scratch with phase hints,
+    /// and maps the result to a record (no stage, no extended range; the
+    /// caller stamps those). Every fresh solve goes through here: the
+    /// per-COP and straddle passes, the split-window retry and the
+    /// canonical witness. A sliced model leaves non-cone events unplaced,
+    /// so on SAT a sliced solve reports the canonical witness instead of
+    /// its own model's.
+    fn solve_fresh(
+        &self,
+        view: &View<'_>,
+        skel: Option<&WindowSkeleton<'_, '_>>,
+        cop: Cop,
+        opts: EncoderOptions,
+        budget: &Budget,
+    ) -> CopRecord {
+        let encoded = match skel {
+            Some(s) => encode_with_skeleton(s, cop, opts),
+            None => encode(view, cop, opts),
+        };
+        let mut solver = Solver::new(&encoded.fb);
+        if self.config.phase_hints {
+            solver.hint_atom_phases(|a| encoded.phase_hint(a));
+        }
+        let result = solver.solve(budget);
+        let verdict = self.verdict_of(result, cop, || {
+            if opts.slicing_active() {
+                self.canonical_schedule(view, cop, opts, budget)
+            } else {
+                extract_witness(view, cop, &encoded, &solver, self.config.mode)
+                    .ok()
+                    .map(|w| w.schedule)
+            }
+        });
+        // Fresh solver: its lifetime stats *are* this solve's delta.
+        let mut profile = SolverTotals::default();
+        profile.record_solve(&solver.stats().sat);
+        CopRecord {
+            profile,
+            cone_events: encoded.cone_events,
+            window_events: encoded.window_events,
+            constraints: encoded.n_constraints,
+            ..CopRecord::new(cop, RaceSignature::of_cop(view.trace(), cop), verdict, None)
+        }
+    }
+
+    /// The canonical witness schedule for a SAT verdict: the witness of a
+    /// fresh *unsliced* solve of the COP. Used whenever the verdict came
     /// from a sliced or selector-guarded model, so reported schedules are
     /// byte-identical across `slice` on/off, `batch_windows` on/off, and
     /// every `--jobs` value. (A sliced model leaves non-cone events
@@ -1291,26 +1139,76 @@ impl RaceDetector {
     /// solve history; the fresh solve depends on neither. The verdict
     /// itself is already SAT, so this solve can only fail at a budget
     /// boundary, which is reported honestly as a witness failure.)
-    fn canonical_witness(
+    fn canonical_schedule(
         &self,
         view: &View<'_>,
         cop: Cop,
         opts: EncoderOptions,
         budget: &Budget,
-    ) -> Result<Witness, ()> {
-        let opts = EncoderOptions {
+    ) -> Option<Schedule> {
+        let unsliced = EncoderOptions {
             slice: false,
             ..opts
         };
-        let encoded = encode(view, cop, opts);
-        let mut solver = Solver::new(&encoded.fb);
-        if self.config.phase_hints {
-            solver.hint_atom_phases(|a| encoded.phase_hint(a));
+        match self.solve_fresh(view, None, cop, unsliced, budget).verdict {
+            CopVerdict::Race(schedule) => Some(schedule),
+            _ => None,
         }
-        if solver.solve(budget) != SmtResult::Sat {
-            return Err(());
+    }
+
+    /// Per-COP mode (`batch_windows` off) and the straddle pass: a fresh
+    /// encoding and solver per COP, over one skeleton and one
+    /// [`TierAnalysis`] per view. Solves are independent, so skipping a
+    /// known-redundant COP cannot perturb any other verdict — the
+    /// `known_racy` skip is safe at COP granularity. `faults` says whether
+    /// fault coordinates index these COPs: they do in the window pass, and
+    /// not in the straddle pass, whose COPs must not shift the window
+    /// pass's coordinates between fixed and cone mode. `ext_range` is the
+    /// extended view range every straddle record is reported on.
+    fn solve_cops_fresh(
+        &self,
+        view: &View<'_>,
+        cops: &[Cop],
+        faults: bool,
+        ext_range: Option<std::ops::Range<usize>>,
+        mut tiers: Option<&mut TierAnalysis<'_>>,
+        w: &mut WindowPass,
+    ) {
+        let cascade_on = tiers.is_some();
+        // One skeleton per view: its indexes are shared by every COP's
+        // cone computation.
+        let skel = w.opts.slicing_active().then(|| WindowSkeleton::new(view));
+        for (cop_index, &cop) in cops.iter().enumerate() {
+            let signature = RaceSignature::of_cop(view.trace(), cop);
+            let skip = self.config.dedup_signatures
+                && (w.local_confirmed.contains(&signature) || w.known_racy.contains(&signature));
+            let fault_index = faults.then_some(cop_index);
+            let record =
+                if let Some(r) = self.preempted(w, fault_index, cop, signature, skip, cascade_on) {
+                    r
+                } else if let Some(r) = tiers.as_deref_mut().and_then(|t| {
+                    // The tiered screens decide most COPs without an
+                    // encoding; whatever they leave is the residue the solver
+                    // sees.
+                    let decision = t.decide(&cop);
+                    self.screened(view, cop, signature, decision, w)
+                }) {
+                    r
+                } else {
+                    let solve_start = Instant::now();
+                    let budget = &clamp_budget(&w.budget, w.deadline);
+                    let solved = self.solve_fresh(view, skel.as_ref(), cop, w.opts, budget);
+                    w.out.solver_time += solve_start.elapsed();
+                    CopRecord {
+                        decided_by: cascade_on.then_some(Tier::Solver),
+                        ..solved
+                    }
+                };
+            w.push(CopRecord {
+                ext_range: ext_range.clone(),
+                ..record
+            });
         }
-        extract_witness(view, cop, &encoded, &solver, self.config.mode).map_err(|_| ())
     }
 
     /// Batch mode: one shared encoding + incremental solver per window,
@@ -1318,44 +1216,35 @@ impl RaceDetector {
     /// so the `known_racy` skip is only taken when it covers the *whole*
     /// window — a partial skip could change a later COP's model and hence
     /// its reported witness schedule.
+    ///
+    /// Retaining learnt clauses across COPs is sound because selectors are
+    /// only ever *assumed* (first forced decisions), never asserted: every
+    /// clause the session learns is implied by the asserted skeleton alone
+    /// — possibly ¬sel-guarded — and so stays valid after its COP retires
+    /// (see DESIGN.md, "Hot path"). `--no-incremental` keeps the shared
+    /// encoding but rebuilds the solver per selector query, as an ablation.
     fn solve_window_batched(
         &self,
         view: &View<'_>,
         cops: Vec<Cop>,
-        opts: EncoderOptions,
-        budget: &Budget,
-        deadline: Option<Instant>,
-        known_racy: &HashSet<RaceSignature>,
-        mut tiers: Option<&mut TierAnalysis<'_>>,
-        local_confirmed: &mut HashSet<RaceSignature>,
-        out: &mut SolvedWindow,
+        tiers: Option<&mut TierAnalysis<'_>>,
+        w: &mut WindowPass,
     ) {
         if cops.is_empty() {
             return;
         }
         let cfg = &self.config;
-        // With the cascade off every record's stage is `None`, so the
-        // tier counters stay zero under `--no-tiers`.
         let cascade_on = tiers.is_some();
         let signatures: Vec<RaceSignature> = cops
             .iter()
             .map(|&c| RaceSignature::of_cop(view.trace(), c))
             .collect();
-        if cfg.dedup_signatures && signatures.iter().all(|s| known_racy.contains(s)) {
-            for (cop, signature) in cops.into_iter().zip(signatures) {
-                out.records.push(CopRecord {
-                    cop,
-                    signature,
-                    verdict: CopVerdict::Skipped,
-                    profile: SolverTotals::default(),
-                    retried: false,
-                    cone_events: 0,
-                    window_events: 0,
-                    constraints: 0,
-                    decided_by: None,
-                    ext_range: None,
-                });
-            }
+        if cfg.dedup_signatures && signatures.iter().all(|s| w.known_racy.contains(s)) {
+            w.out.records.extend(
+                cops.into_iter().zip(signatures).map(|(cop, signature)| {
+                    CopRecord::new(cop, signature, CopVerdict::Skipped, None)
+                }),
+            );
             return;
         }
         // Tier pass: decide every COP up front so the shared encoding can
@@ -1363,7 +1252,7 @@ impl RaceDetector {
         // of the window, so deciding them before the solve loop changes
         // nothing about solve order). A COP with a planned fault is never
         // screened — the fault must fire at its coordinate either way.
-        let decisions: Vec<Option<TierDecision>> = match tiers.as_deref_mut() {
+        let decisions: Vec<Option<TierDecision>> = match tiers {
             Some(t) => cops
                 .iter()
                 .enumerate()
@@ -1371,7 +1260,7 @@ impl RaceDetector {
                     let faulted = cfg
                         .fault_plan
                         .as_ref()
-                        .is_some_and(|p| p.fault_at(out.window_index, i).is_some());
+                        .is_some_and(|p| p.fault_at(w.out.window_index, i).is_some());
                     (!faulted).then(|| t.decide(cop))
                 })
                 .collect(),
@@ -1396,392 +1285,76 @@ impl RaceDetector {
         let mut enc_solver = None;
         // An already-expired deadline skips the shared encoding entirely:
         // every residue COP below degrades without ever needing a solver.
-        if !residue.is_empty() && !past_deadline(deadline) {
+        if !residue.is_empty() && !past_deadline(w.deadline) {
             let solve_start = Instant::now();
             // With slicing, the shared base formula covers the union cone
             // of the residue COPs.
-            let encoded = encode_window(view, &residue, opts);
+            let encoded = encode_window(view, &residue, w.opts);
             let mut solver = Solver::new(&encoded.fb);
             if cfg.phase_hints {
                 solver.hint_atom_phases(|a| encoded.phase_hint(a));
             }
-            out.solver_time += solve_start.elapsed();
+            w.out.solver_time += solve_start.elapsed();
             enc_solver = Some((encoded, solver));
         }
         for (i, cop) in cops.into_iter().enumerate() {
             let signature = signatures[i];
-            // Faults fire before any skip so a planned coordinate always
-            // takes effect, at every thread count. (Skipping a selector
-            // solve perturbs later models only relative to a run *without*
-            // the fault; the plan is fixed, so every thread count sees the
-            // same sequence of solves.)
-            if let Some(verdict) = self.apply_fault(out.window_index, i) {
-                out.records.push(CopRecord {
-                    cop,
-                    signature,
-                    verdict,
-                    profile: SolverTotals::default(),
-                    retried: false,
-                    cone_events: 0,
-                    window_events: 0,
-                    constraints: 0,
-                    decided_by: cascade_on.then_some(Tier::Solver),
-                    ext_range: None,
-                });
-                continue;
-            }
-            // Window budget exhausted: every remaining COP — tier-decided
-            // or residue — degrades to the per-COP-timeout verdict. (The
-            // deadline is monotonic, so a residue COP that passes this
-            // check always finds the shared encoding built above.)
-            if past_deadline(deadline) {
-                out.records
-                    .push(deadline_expired_record(cop, signature, cascade_on));
-                continue;
-            }
-            if cfg.dedup_signatures && local_confirmed.contains(&signature) {
-                out.records.push(CopRecord {
-                    cop,
-                    signature,
-                    verdict: CopVerdict::Skipped,
-                    profile: SolverTotals::default(),
-                    retried: false,
-                    cone_events: 0,
-                    window_events: 0,
-                    constraints: 0,
-                    decided_by: None,
-                    ext_range: None,
-                });
-                continue;
-            }
-            match decisions[i] {
-                Some(TierDecision::Confirmed) => {
-                    let budget = &clamp_budget(budget, deadline);
-                    let record =
-                        self.tier_confirmed_record(view, cop, signature, opts, budget, out);
-                    if matches!(record.verdict, CopVerdict::Race(_)) {
-                        local_confirmed.insert(signature);
-                    }
-                    out.records.push(record);
-                    continue;
-                }
-                Some(TierDecision::Refuted) => {
-                    out.records.push(tier_refuted_record(cop, signature));
-                    continue;
-                }
-                _ => {}
-            }
-            let (encoded, solver) = enc_solver
-                .as_mut()
-                .expect("residue COP without a shared encoding");
-            let sel = sel_index[i].expect("residue COP without a selector");
-            let solve_start = Instant::now();
-            let budget = &clamp_budget(budget, deadline);
-            // Shared incremental solver: counters are cumulative over the
-            // window, so this COP's effort is the before/after delta.
-            // Under `--no-incremental` the shared encoding is kept but the
-            // solver is rebuilt per selector, ablating learnt-clause
-            // retention (the fresh solver's lifetime stats are the delta).
-            let mut profile = SolverTotals::default();
-            let result = if cfg.incremental {
-                let before = solver.stats().sat;
-                let r = solver.solve_assuming(budget, &[encoded.selectors[sel]]);
-                profile.record_solve(&solver.stats().sat.delta_since(&before));
+            // (Skipping a selector solve perturbs later models only
+            // relative to a run *without* the fault; the plan is fixed, so
+            // every thread count sees the same sequence of solves. The
+            // deadline is monotonic, so a residue COP that is not preempted
+            // always finds the shared encoding built above.)
+            let skip = cfg.dedup_signatures && w.local_confirmed.contains(&signature);
+            let record = if let Some(r) =
+                self.preempted(w, Some(i), cop, signature, skip, cascade_on)
+            {
+                r
+            } else if let Some(r) =
+                decisions[i].and_then(|d| self.screened(view, cop, signature, d, w))
+            {
                 r
             } else {
-                let mut fresh = Solver::new(&encoded.fb);
-                if cfg.phase_hints {
-                    fresh.hint_atom_phases(|a| encoded.phase_hint(a));
-                }
-                let r = fresh.solve_assuming(budget, &[encoded.selectors[sel]]);
-                profile.record_solve(&fresh.stats().sat);
-                r
-            };
-            let verdict = match result {
-                SmtResult::Unsat => CopVerdict::Unsat,
-                SmtResult::Unknown(reason) => CopVerdict::Undecided(undecided_of_stop(reason)),
-                SmtResult::Sat => {
-                    if cfg.validate_witnesses {
-                        // The incremental model depends on the window's
-                        // solve history (and, sliced, leaves non-cone
-                        // events unplaced): always report the canonical
-                        // fresh-solve witness instead, so schedules are
-                        // identical to per-COP mode at every configuration.
-                        match self.canonical_witness(view, cop, opts, budget) {
-                            Ok(witness) => {
-                                local_confirmed.insert(signature);
-                                CopVerdict::Race(witness.schedule)
-                            }
-                            Err(()) => CopVerdict::WitnessFailed,
-                        }
-                    } else {
-                        local_confirmed.insert(signature);
-                        CopVerdict::Race(Schedule(vec![cop.first, cop.second]))
-                    }
-                }
-            };
-            out.solver_time += solve_start.elapsed();
-            out.records.push(CopRecord {
-                cop,
-                signature,
-                verdict,
-                profile,
-                retried: false,
-                cone_events: encoded.cone_events,
-                window_events: encoded.window_events,
-                constraints: encoded.n_constraints,
-                decided_by: cascade_on.then_some(Tier::Solver),
-                ext_range: None,
-            });
-        }
-    }
-
-    /// Per-COP incremental mode (`batch_windows` off, `incremental` on):
-    /// per-COP verdict semantics — inline tier screens, per-COP dedup of
-    /// window-local confirmations, faults and deadlines at COP granularity
-    /// — on one *resident solver session* per window. The union cone over
-    /// all the window's COPs is encoded once with one selector per COP,
-    /// and each residue COP is discharged as an assumption query on the
-    /// shared session: per-COP work is assumption-sized instead of
-    /// encode-from-scratch, and learnt clauses are retained across COPs.
-    /// Retention is sound because selectors are only ever *assumed* (first
-    /// forced decisions), never asserted: every clause the session learns
-    /// is implied by the asserted skeleton alone — possibly ¬sel-guarded —
-    /// and so stays valid after its COP retires (see DESIGN.md, "Hot
-    /// path").
-    ///
-    /// The cross-window `known_racy` skip follows batch mode (whole-window
-    /// only): a partial skip would drop a query from the shared session
-    /// and perturb later effort deltas across thread counts. The
-    /// `local_confirmed` skip is window-local and deterministic, so it
-    /// stays per-COP, as in per-COP mode.
-    ///
-    /// With `portfolio` on, each residue COP *races* the session query —
-    /// on a clone of the session solver, in a helper thread under a
-    /// cancellation token — against the tier screen on this thread. If the
-    /// screen decides, the clone is cancelled and discarded: the session
-    /// and the record are exactly portfolio-off's. If the screen leaves a
-    /// residue, the helper's verdict and effort delta are adopted and its
-    /// clone *becomes* the session — the clone ran the exact query the
-    /// session would have, from the same pre-query state, so records,
-    /// witnesses and count-type metrics are byte-identical with portfolio
-    /// on or off, at every thread count. Cancelled results never survive:
-    /// they are discarded with the clone.
-    fn solve_window_incremental(
-        &self,
-        view: &View<'_>,
-        cops: Vec<Cop>,
-        opts: EncoderOptions,
-        budget: &Budget,
-        deadline: Option<Instant>,
-        known_racy: &HashSet<RaceSignature>,
-        mut tiers: Option<&mut TierAnalysis<'_>>,
-        local_confirmed: &mut HashSet<RaceSignature>,
-        out: &mut SolvedWindow,
-    ) {
-        if cops.is_empty() {
-            return;
-        }
-        let cfg = &self.config;
-        // With the cascade off every record's stage is `None`, so the
-        // tier counters stay zero under `--no-tiers`.
-        let cascade_on = tiers.is_some();
-        let signatures: Vec<RaceSignature> = cops
-            .iter()
-            .map(|&c| RaceSignature::of_cop(view.trace(), c))
-            .collect();
-        if cfg.dedup_signatures && signatures.iter().all(|s| known_racy.contains(s)) {
-            for (cop, signature) in cops.into_iter().zip(signatures) {
-                out.records.push(CopRecord {
-                    cop,
-                    signature,
-                    verdict: CopVerdict::Skipped,
-                    profile: SolverTotals::default(),
-                    retried: false,
-                    cone_events: 0,
-                    window_events: 0,
-                    constraints: 0,
-                    decided_by: None,
-                    ext_range: None,
-                });
-            }
-            return;
-        }
-        // One shared encoding + resident solver for the whole window,
-        // built up front (before any screen) so the portfolio can race a
-        // session query against a screen for *any* COP. The base formula
-        // covers the union cone of all the window's COPs — a superset of
-        // every per-COP cone, so each selector query decides exactly its
-        // COP's formula (the cone-superset argument batch mode relies on).
-        let mut enc_session = None;
-        if !past_deadline(deadline) {
-            let solve_start = Instant::now();
-            let encoded = encode_window(view, &cops, opts);
-            let mut solver = Solver::new(&encoded.fb);
-            if cfg.phase_hints {
-                solver.hint_atom_phases(|a| encoded.phase_hint(a));
-            }
-            out.solver_time += solve_start.elapsed();
-            enc_session = Some((encoded, solver));
-        }
-        for (i, cop) in cops.into_iter().enumerate() {
-            let signature = signatures[i];
-            // Faults fire before any skip so a planned coordinate always
-            // takes effect, at every thread count.
-            if let Some(verdict) = self.apply_fault(out.window_index, i) {
-                out.records.push(CopRecord {
-                    cop,
-                    signature,
-                    verdict,
-                    profile: SolverTotals::default(),
-                    retried: false,
-                    cone_events: 0,
-                    window_events: 0,
-                    constraints: 0,
-                    decided_by: cascade_on.then_some(Tier::Solver),
-                    ext_range: None,
-                });
-                continue;
-            }
-            // Window budget exhausted: every remaining COP degrades to the
-            // per-COP-timeout verdict. (The deadline is monotonic, so a
-            // COP that passes this check always finds the session built
-            // above.)
-            if past_deadline(deadline) {
-                out.records
-                    .push(deadline_expired_record(cop, signature, cascade_on));
-                continue;
-            }
-            if cfg.dedup_signatures && local_confirmed.contains(&signature) {
-                out.records.push(CopRecord {
-                    cop,
-                    signature,
-                    verdict: CopVerdict::Skipped,
-                    profile: SolverTotals::default(),
-                    retried: false,
-                    cone_events: 0,
-                    window_events: 0,
-                    constraints: 0,
-                    decided_by: None,
-                    ext_range: None,
-                });
-                continue;
-            }
-            let (encoded, solver) = enc_session
-                .as_mut()
-                .expect("undecided COP without a session encoding");
-            let budget = &clamp_budget(budget, deadline);
-            // The screen and the session query. Portfolio overlaps them
-            // and lets the first verdict win; otherwise the screen runs
-            // first and only the residue is queried.
-            let mut raced: Option<(SmtResult, SolverTotals)> = None;
-            let decision = match tiers.as_deref_mut() {
-                None => None,
-                Some(t) if cfg.portfolio => {
-                    let race_start = Instant::now();
-                    let token = Arc::new(AtomicBool::new(false));
-                    let mut racer = solver.clone();
-                    racer.set_cancel(Some(token.clone()));
-                    let sel = encoded.selectors[i];
-                    let before = racer.stats().sat;
-                    let (decision, joined) = std::thread::scope(|s| {
-                        let handle = s.spawn(move || {
-                            let r = racer.solve_assuming(budget, &[sel]);
-                            let mut profile = SolverTotals::default();
-                            profile.record_solve(&racer.stats().sat.delta_since(&before));
-                            (r, profile, racer)
-                        });
-                        let decision = t.decide(&cop);
-                        if !matches!(decision, TierDecision::Residue) {
-                            // Screen won: stop the racer at its next
-                            // checkpoint; its result is discarded below.
-                            token.store(true, Ordering::Relaxed);
-                        }
-                        (decision, handle.join())
-                    });
-                    if matches!(decision, TierDecision::Residue) {
-                        // Adopt the racer's verdict, effort delta and
-                        // solver state: it ran the exact query the session
-                        // would have, from the same pre-query state. (A
-                        // panicked racer falls through to an inline
-                        // re-query on the untouched session.)
-                        if let Ok((r, profile, mut adopted)) = joined {
-                            adopted.set_cancel(None);
-                            *solver = adopted;
-                            raced = Some((r, profile));
-                        }
-                    }
-                    out.solver_time += race_start.elapsed();
-                    Some(decision)
-                }
-                Some(t) => Some(t.decide(&cop)),
-            };
-            match decision {
-                Some(TierDecision::Confirmed) => {
-                    let record =
-                        self.tier_confirmed_record(view, cop, signature, opts, budget, out);
-                    if matches!(record.verdict, CopVerdict::Race(_)) {
-                        local_confirmed.insert(signature);
-                    }
-                    out.records.push(record);
-                    continue;
-                }
-                Some(TierDecision::Refuted) => {
-                    out.records.push(tier_refuted_record(cop, signature));
-                    continue;
-                }
-                _ => {}
-            }
-            let solve_start = Instant::now();
-            let (result, profile) = match raced {
-                Some(rp) => rp,
-                None => {
-                    // Shared session: counters are cumulative over the
-                    // window, so this COP's effort is the before/after
-                    // delta.
+                let (encoded, solver) = enc_solver
+                    .as_mut()
+                    .expect("residue COP without a shared encoding");
+                let sel = sel_index[i].expect("residue COP without a selector");
+                let solve_start = Instant::now();
+                let budget = &clamp_budget(&w.budget, w.deadline);
+                // Shared incremental solver: counters are cumulative over
+                // the window, so this COP's effort is the before/after
+                // delta. Under `--no-incremental` the solver is rebuilt
+                // per selector (the fresh solver's lifetime stats are the
+                // delta).
+                let mut profile = SolverTotals::default();
+                let result = if cfg.incremental {
                     let before = solver.stats().sat;
-                    let r = solver.solve_assuming(budget, &[encoded.selectors[i]]);
-                    let mut profile = SolverTotals::default();
+                    let r = solver.solve_assuming(budget, &[encoded.selectors[sel]]);
                     profile.record_solve(&solver.stats().sat.delta_since(&before));
-                    (r, profile)
-                }
-            };
-            let verdict = match result {
-                SmtResult::Unsat => CopVerdict::Unsat,
-                SmtResult::Unknown(reason) => CopVerdict::Undecided(undecided_of_stop(reason)),
-                SmtResult::Sat => {
-                    if cfg.validate_witnesses {
-                        // The session model depends on the window's solve
-                        // history (and, sliced, leaves non-cone events
-                        // unplaced): always report the canonical
-                        // fresh-solve witness instead, so schedules are
-                        // identical to every other mode.
-                        match self.canonical_witness(view, cop, opts, budget) {
-                            Ok(witness) => {
-                                local_confirmed.insert(signature);
-                                CopVerdict::Race(witness.schedule)
-                            }
-                            Err(()) => CopVerdict::WitnessFailed,
-                        }
-                    } else {
-                        local_confirmed.insert(signature);
-                        CopVerdict::Race(Schedule(vec![cop.first, cop.second]))
+                    r
+                } else {
+                    let mut fresh = Solver::new(&encoded.fb);
+                    if cfg.phase_hints {
+                        fresh.hint_atom_phases(|a| encoded.phase_hint(a));
                     }
+                    let r = fresh.solve_assuming(budget, &[encoded.selectors[sel]]);
+                    profile.record_solve(&fresh.stats().sat);
+                    r
+                };
+                // The selector model depends on the window's solve
+                // history: report the canonical witness instead.
+                let verdict = self.verdict_of(result, cop, || {
+                    self.canonical_schedule(view, cop, w.opts, budget)
+                });
+                w.out.solver_time += solve_start.elapsed();
+                CopRecord {
+                    profile,
+                    cone_events: encoded.cone_events,
+                    window_events: encoded.window_events,
+                    constraints: encoded.n_constraints,
+                    ..CopRecord::new(cop, signature, verdict, cascade_on.then_some(Tier::Solver))
                 }
             };
-            out.solver_time += solve_start.elapsed();
-            out.records.push(CopRecord {
-                cop,
-                signature,
-                verdict,
-                profile,
-                retried: false,
-                cone_events: encoded.cone_events,
-                window_events: encoded.window_events,
-                constraints: encoded.n_constraints,
-                decided_by: cascade_on.then_some(Tier::Solver),
-                ext_range: None,
-            });
+            w.push(record);
         }
     }
 
@@ -1807,42 +1380,20 @@ impl RaceDetector {
     /// whose partner fell outside the spill budget are reported honestly
     /// as `Undecided(BoundaryBudget)` — never a silent "no race", never a
     /// solve on a truncated view.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_straddles(
-        &self,
-        view: &View<'_>,
-        plan: &StraddlePlan,
-        budget: &Budget,
-        deadline: Option<Instant>,
-        known_racy: &HashSet<RaceSignature>,
-        local_confirmed: &mut HashSet<RaceSignature>,
-        out: &mut SolvedWindow,
-    ) {
+    fn solve_straddles(&self, view: &View<'_>, plan: &StraddlePlan, w: &mut WindowPass) {
         let cfg = &self.config;
         let trace = view.trace();
-        let cascade_on = cfg.tiers;
         for &cop in &plan.over_budget {
-            out.records.push(CopRecord {
-                cop,
-                signature: RaceSignature::of_cop(trace, cop),
-                verdict: CopVerdict::Undecided(UndecidedReason::BoundaryBudget),
-                profile: SolverTotals::default(),
-                retried: false,
-                cone_events: 0,
-                window_events: 0,
-                constraints: 0,
-                decided_by: cascade_on.then_some(Tier::Solver),
+            let verdict = CopVerdict::Undecided(UndecidedReason::BoundaryBudget);
+            let signature = RaceSignature::of_cop(trace, cop);
+            w.out.records.push(CopRecord {
                 ext_range: Some(plan.window.clone()),
+                ..CopRecord::new(cop, signature, verdict, cfg.tiers.then_some(Tier::Solver))
             });
         }
         if plan.cops.is_empty() {
             return;
         }
-        let opts = EncoderOptions {
-            mode: cfg.mode,
-            prune_write_sets: cfg.prune_write_sets,
-            slice: cfg.slice,
-        };
         // Lazy cone growth: pull the view start back to the last in-budget
         // write of any variable the union cone reads, until the dependence
         // frontier stabilizes or the budget floor is hit.
@@ -1862,114 +1413,45 @@ impl RaceDetector {
                 _ => break,
             }
         }
-        out.spill_events = plan.spill_span(ext_start);
+        w.out.spill_events = plan.spill_span(ext_start);
         let mut tiers = cfg
             .tiers
             .then(|| TierAnalysis::new(&ext, cfg.mode, cfg.prune_write_sets));
-        let skel = opts.slicing_active().then(|| WindowSkeleton::new(&ext));
-        for &cop in &plan.cops {
-            let signature = RaceSignature::of_cop(trace, cop);
-            // The fault plan is deliberately not consulted here: its
-            // coordinates index the normal pass's solve order, which must
-            // not shift between fixed and cone mode.
-            if past_deadline(deadline) {
-                let mut record = deadline_expired_record(cop, signature, cascade_on);
-                record.ext_range = Some(ext.range());
-                out.records.push(record);
-                continue;
-            }
-            if cfg.dedup_signatures
-                && (local_confirmed.contains(&signature) || known_racy.contains(&signature))
-            {
-                out.records.push(CopRecord {
-                    cop,
-                    signature,
-                    verdict: CopVerdict::Skipped,
-                    profile: SolverTotals::default(),
-                    retried: false,
-                    cone_events: 0,
-                    window_events: 0,
-                    constraints: 0,
-                    decided_by: None,
-                    ext_range: Some(ext.range()),
-                });
-                continue;
-            }
-            if let Some(t) = tiers.as_mut() {
-                match t.decide(&cop) {
-                    TierDecision::Confirmed => {
-                        let budget = &clamp_budget(budget, deadline);
-                        let mut record =
-                            self.tier_confirmed_record(&ext, cop, signature, opts, budget, out);
-                        record.ext_range = Some(ext.range());
-                        if matches!(record.verdict, CopVerdict::Race(_)) {
-                            local_confirmed.insert(signature);
-                        }
-                        out.records.push(record);
-                        continue;
-                    }
-                    TierDecision::Refuted => {
-                        let mut record = tier_refuted_record(cop, signature);
-                        record.ext_range = Some(ext.range());
-                        out.records.push(record);
-                        continue;
-                    }
-                    TierDecision::Residue => {}
-                }
-            }
-            let solve_start = Instant::now();
-            let budget = &clamp_budget(budget, deadline);
-            let encoded = match &skel {
-                Some(s) => encode_with_skeleton(s, cop, opts),
-                None => encode(&ext, cop, opts),
-            };
-            let mut solver = Solver::new(&encoded.fb);
-            if cfg.phase_hints {
-                solver.hint_atom_phases(|a| encoded.phase_hint(a));
-            }
-            let verdict = match solver.solve(budget) {
-                SmtResult::Unsat => CopVerdict::Unsat,
-                SmtResult::Unknown(reason) => CopVerdict::Undecided(undecided_of_stop(reason)),
-                SmtResult::Sat => {
-                    if cfg.validate_witnesses {
-                        let witness = if skel.is_some() {
-                            self.canonical_witness(&ext, cop, opts, budget)
-                        } else {
-                            extract_witness(&ext, cop, &encoded, &solver, cfg.mode).map_err(|_| ())
-                        };
-                        match witness {
-                            Ok(witness) => {
-                                local_confirmed.insert(signature);
-                                CopVerdict::Race(witness.schedule)
-                            }
-                            Err(()) => CopVerdict::WitnessFailed,
-                        }
-                    } else {
-                        local_confirmed.insert(signature);
-                        CopVerdict::Race(Schedule(vec![cop.first, cop.second]))
-                    }
-                }
-            };
-            out.solver_time += solve_start.elapsed();
-            let mut profile = SolverTotals::default();
-            profile.record_solve(&solver.stats().sat);
-            out.records.push(CopRecord {
-                cop,
-                signature,
-                verdict,
-                profile,
-                retried: false,
-                cone_events: encoded.cone_events,
-                window_events: encoded.window_events,
-                constraints: encoded.n_constraints,
-                decided_by: cascade_on.then_some(Tier::Solver),
-                ext_range: Some(ext.range()),
-            });
-        }
+        self.solve_cops_fresh(
+            &ext,
+            &plan.cops,
+            false,
+            Some(ext.range()),
+            tiers.as_mut(),
+            w,
+        );
         if let Some(t) = &tiers {
-            out.tier_a_time += t.tier_a_time();
-            out.tier_b_time += t.tier_b_time();
+            w.out.tier_a_time += t.tier_a_time();
+            w.out.tier_b_time += t.tier_b_time();
         }
+    }
+
+    /// Merges outcomes that arrive in completion order: buffers them and
+    /// merges in window order, so dedup decisions are reproducible.
+    fn merge_in_order(
+        &self,
+        outcomes: impl IntoIterator<Item = WindowOutcome>,
+        report: &mut DetectionReport,
+        confirmed: &mut HashSet<RaceSignature>,
+        published: &PublishedSet,
+        start: Instant,
+    ) {
+        let mut pending: BTreeMap<usize, WindowOutcome> = BTreeMap::new();
+        let mut cursor = 0usize;
+        for outcome in outcomes {
+            pending.insert(outcome.window_index(), outcome);
+            while let Some(outcome) = pending.remove(&cursor) {
+                self.merge_outcome(outcome, report, confirmed, Some(published));
+                note_first_race(report, start);
+                cursor += 1;
+            }
+        }
+        debug_assert!(pending.is_empty(), "every window outcome merged");
     }
 
     /// Replays one window's records against the authoritative confirmed
@@ -1983,7 +1465,7 @@ impl RaceDetector {
         outcome: WindowOutcome,
         report: &mut DetectionReport,
         confirmed: &mut HashSet<RaceSignature>,
-        published: Option<&Published>,
+        published: Option<&PublishedSet>,
     ) {
         let cfg = &self.config;
         let stats = &mut report.stats;
@@ -2241,8 +1723,6 @@ mod tests {
         // (glued-variable) solving must report identical signatures.
         for seed in [3u64, 17, 99] {
             let trace = {
-                let p = crate::config::DetectorConfig::default();
-                let _ = p;
                 // A small racy/locked mix.
                 let mut b = TraceBuilder::new();
                 let x = b.var("x");

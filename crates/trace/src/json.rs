@@ -185,9 +185,18 @@ impl JsonValue {
 
 // ---------------------------------------------------------------- parser
 
+/// The deepest array/object nesting the parser accepts. The trace format
+/// and the daemon protocol nest at most four levels; the cap bounds the
+/// parser's recursion (and the recursive drop of the parsed value), so a
+/// hostile document of nested brackets is a [`JsonError`], not a stack
+/// overflow.
+const MAX_NESTING: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -237,8 +246,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' | b'[' if self.depth == MAX_NESTING => {
+                Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")))
+            }
+            open @ (b'{' | b'[') => {
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             b'"' => Ok(JsonValue::Str(self.string()?)),
             b't' => self.literal("true", JsonValue::Bool(true)),
             b'f' => self.literal("false", JsonValue::Bool(false)),
@@ -402,6 +422,7 @@ fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let parsed = (|| {
         let v = p.value()?;
@@ -918,6 +939,17 @@ pub(crate) fn tree_from_json(input: &str) -> Result<Trace, JsonError> {
 mod tests {
     use super::*;
     use crate::builder::TraceBuilder;
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_with_an_offset() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_NESTING), "]".repeat(MAX_NESTING));
+        assert!(parse_json(&at_cap).is_ok(), "the cap itself is accepted");
+        for deep in ["[".repeat(MAX_NESTING + 1), "[{\"a\":".repeat(200_000)] {
+            let e = parse_json(&deep).unwrap_err();
+            assert!(e.message.contains("nesting deeper than"), "{e}");
+            assert!(e.offset <= 3 * MAX_NESTING, "{e}");
+        }
+    }
 
     fn sample() -> Trace {
         let mut b = TraceBuilder::new();

@@ -52,16 +52,12 @@
 //!                              the linear-time screens confirm/refute it first);
 //!                              verdicts and witnesses are identical either way —
 //!                              this exists for A/B checking and ablation
-//!   --no-incremental           disable incremental solver sessions (rebuild the
-//!                              solver for every per-COP query instead of retaining
-//!                              learnt clauses across a window's COPs); verdicts
+//!   --no-incremental           disable the batched window's incremental solver
+//!                              session (rebuild the solver over the window's shared
+//!                              encoding for every COP query instead of retaining
+//!                              learnt clauses across the window's COPs); verdicts
 //!                              and witnesses are identical either way — this
 //!                              exists for A/B checking and ablation
-//!   --portfolio                race the incremental SMT query against the tier
-//!                              screens per COP (first verdict wins, the loser is
-//!                              cancelled); implies per-COP incremental sessions.
-//!                              Reports, witnesses and count-type metrics are
-//!                              byte-identical with the flag on or off
 //!   --inject-fault W:C:KIND    (testing) inject a fault at window W, COP C;
 //!                              KIND is panic, timeout or encode-error; repeatable
 //!   --metrics OUT.json         write the run's metrics registry (versioned JSON:
@@ -127,7 +123,6 @@ struct Options {
     no_slice: bool,
     no_tiers: bool,
     no_incremental: bool,
-    portfolio: bool,
     faults: Vec<(usize, usize, Fault)>,
     metrics: Option<String>,
     trace_log: bool,
@@ -150,7 +145,6 @@ impl Options {
             no_slice: self.no_slice,
             no_tiers: self.no_tiers,
             no_incremental: self.no_incremental,
-            portfolio: self.portfolio,
             faults: self.faults.clone(),
             window_mode: self.window_mode,
             spill_budget: self
@@ -203,7 +197,6 @@ fn parse_args() -> Result<Options, String> {
         no_slice: false,
         no_tiers: false,
         no_incremental: false,
-        portfolio: false,
         faults: Vec::new(),
         metrics: None,
         trace_log: false,
@@ -311,10 +304,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.no_incremental = true;
                 i += 1;
             }
-            "--portfolio" => {
-                opts.portfolio = true;
-                i += 1;
-            }
             "--inject-fault" => {
                 let spec = args.get(i + 1).ok_or("--inject-fault needs W:C:KIND")?;
                 opts.faults.push(driver::parse_fault_spec(spec)?);
@@ -354,7 +343,7 @@ fn usage() {
          [--timeout-ms MS] [--jobs N] [--window-mode fixed|cone] \
          [--spill-budget BYTES] [--connect SOCK] [--stream] [--witnesses] \
          [--lenient] [--retry-split] [--no-slice] [--no-tiers] \
-         [--no-incremental] [--portfolio] \
+         [--no-incremental] \
          [--inject-fault W:C:KIND]... [--metrics OUT.json] \
          [--trace-log] (--demo | TRACE.json | -)"
     );

@@ -472,9 +472,6 @@ pub struct SessionRequest {
     pub no_tiers: bool,
     /// Disable incremental solver sessions (`--no-incremental`).
     pub no_incremental: bool,
-    /// Race the incremental encoding against the tier screens per COP
-    /// (`--portfolio`; implies per-COP incremental sessions).
-    pub portfolio: bool,
     /// Planned fault coordinates (`--inject-fault W:C:KIND`, repeatable).
     pub faults: Vec<(usize, usize, Fault)>,
     /// Window bounding discipline (`--window-mode fixed|cone`).
@@ -499,7 +496,6 @@ impl Default for SessionRequest {
             no_slice: false,
             no_tiers: false,
             no_incremental: false,
-            portfolio: false,
             faults: Vec::new(),
             window_mode: WindowMode::default(),
             spill_budget: DetectorConfig::default().spill_budget,
@@ -520,10 +516,6 @@ impl SessionRequest {
             slice: !self.no_slice,
             tiers: !self.no_tiers,
             incremental: !self.no_incremental,
-            portfolio: self.portfolio,
-            // Portfolio racing runs per-COP incremental sessions: batch
-            // mode has no per-COP screen/solve interleaving to race.
-            batch_windows: !self.portfolio,
             window_timeout: self.timeout_ms.map(Duration::from_millis),
             window_mode: self.window_mode,
             spill_budget: self.spill_budget,
@@ -563,7 +555,6 @@ impl SessionRequest {
         out.push_str(&format!(", \"no_slice\": {}", self.no_slice));
         out.push_str(&format!(", \"no_tiers\": {}", self.no_tiers));
         out.push_str(&format!(", \"no_incremental\": {}", self.no_incremental));
-        out.push_str(&format!(", \"portfolio\": {}", self.portfolio));
         out.push_str(", \"faults\": [");
         for (i, &(w, c, fault)) in self.faults.iter().enumerate() {
             if i > 0 {
@@ -606,7 +597,6 @@ impl SessionRequest {
                     "no_slice" => req.no_slice = value.as_bool()?,
                     "no_tiers" => req.no_tiers = value.as_bool()?,
                     "no_incremental" => req.no_incremental = value.as_bool()?,
-                    "portfolio" => req.portfolio = value.as_bool()?,
                     "window_mode" => {
                         req.window_mode =
                             parse_window_mode(value.as_str()?).map_err(|m| rvtrace::JsonError {
@@ -745,7 +735,6 @@ mod tests {
             no_slice: true,
             no_tiers: false,
             no_incremental: true,
-            portfolio: true,
             faults: vec![(0, 1, Fault::Panic), (2, 0, Fault::Timeout)],
             window_mode: WindowMode::Fixed,
             spill_budget: 1 << 16,
@@ -790,7 +779,7 @@ mod tests {
         assert_eq!(fixed.spill_events(), 0, "fixed mode never looks back");
 
         let default_cfg = SessionRequest::default().detector_config();
-        assert!(default_cfg.incremental && !default_cfg.portfolio);
+        assert!(default_cfg.incremental);
         assert!(default_cfg.batch_windows);
         let ablated = SessionRequest {
             no_incremental: true,
@@ -798,15 +787,6 @@ mod tests {
         }
         .detector_config();
         assert!(!ablated.incremental && ablated.batch_windows);
-        let racing = SessionRequest {
-            portfolio: true,
-            ..SessionRequest::default()
-        }
-        .detector_config();
-        assert!(
-            racing.portfolio && racing.incremental && !racing.batch_windows,
-            "portfolio implies per-COP incremental sessions"
-        );
     }
 
     #[test]
@@ -867,6 +847,9 @@ mod tests {
     #[test]
     fn unknown_request_fields_rejected() {
         assert!(SessionRequest::from_json("{\"windw\": 3}").is_err());
+        // `--portfolio` and its wire field were removed: an old client
+        // sending it is rejected, not half-understood.
+        assert!(SessionRequest::from_json("{\"portfolio\": true}").is_err());
         assert!(SessionResponse::from_json("{\"exitcode\": 3}").is_err());
     }
 }

@@ -130,6 +130,20 @@ fn cli_usage_on_missing_args() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 }
 
+/// `--portfolio` was removed: it is now an unknown option, a usage error
+/// (exit 2) that prints the usage text.
+#[test]
+fn cli_rejects_removed_portfolio_flag() {
+    let out = Command::new(bin())
+        .args(["--portfolio", "--demo"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown option --portfolio"), "{err}");
+    assert!(err.contains("usage"), "{err}");
+}
+
 /// `--kind` admits exactly `race|deadlock|atomicity|all`; anything else is
 /// a usage error (exit 2) that names the flag, and a missing value is too.
 #[test]

@@ -278,6 +278,33 @@ fn parse_errors_relay_with_local_path() {
     assert_eq!(code, 0);
 }
 
+/// A trace nested 200,000 levels deep fails its own session with the
+/// standalone CLI's parse diagnostic (exit 2), and the daemon goes on to
+/// serve the next client: a hostile trace is a session fault, never a
+/// daemon fault.
+#[test]
+fn deeply_nested_trace_fails_only_its_session() {
+    let deep = dir().join("daemon-deep.json");
+    std::fs::write(&deep, "[".repeat(200_000)).unwrap();
+    let deep = deep.to_str().unwrap();
+    let path = trace_path("daemon-after-deep.ndjson");
+    let (daemon, sock) = spawn_daemon("deep", &["--once", "3"]);
+    let solo = run(&["--stream", deep]);
+    let conn = run(&["--connect", &sock, deep]);
+    assert_eq!(conn.status.code(), Some(2));
+    assert_eq!(
+        String::from_utf8_lossy(&conn.stderr),
+        String::from_utf8_lossy(&solo.stderr),
+        "parse diagnostics must match byte for byte"
+    );
+    let solo = run(&["--stream", "--window", "300", &path]);
+    let conn = run(&["--connect", &sock, "--window", "300", &path]);
+    assert_eq!(conn.status.code(), Some(1), "the next client is served");
+    assert_eq!(stripped_stdout(&conn), stripped_stdout(&solo));
+    let (code, _) = finish_daemon(daemon);
+    assert_eq!(code, 0);
+}
+
 /// `--connect` usage errors: non-rv detectors and `--demo` are rejected
 /// client-side, and a dead socket is a connection error — all exit 2.
 #[test]

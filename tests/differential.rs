@@ -89,40 +89,54 @@ fn detector_races(trace: &rvpredict::Trace) -> BTreeSet<Cop> {
     out
 }
 
+/// Deterministic random traces: the first `cases` completed executions,
+/// of `lens` events each, of programs `gen` draws from `seed`, trying at
+/// most `attempts` programs per case. `cases` is `PROPTEST_CASES` (the
+/// name is kept from when the suite ran on proptest), else
+/// `default_cases`.
+fn random_traces(
+    seed: u64,
+    default_cases: usize,
+    gen: fn(&mut SmallRng) -> Vec<Vec<Op>>,
+    attempts: usize,
+    lens: std::ops::RangeInclusive<usize>,
+) -> Vec<rvpredict::Trace> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let cases: usize = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default_cases);
+    let mut traces = Vec::with_capacity(cases);
+    for _attempt in 0..cases * attempts {
+        if traces.len() == cases {
+            break;
+        }
+        let program = build(&gen(&mut rng));
+        let seed = rng.gen_range(0..400u64);
+        let exec = execute(&program, &ExecConfig::seeded(seed)).unwrap();
+        if exec.outcome == Outcome::Completed && lens.contains(&exec.trace.len()) {
+            traces.push(exec.trace);
+        }
+    }
+    assert_eq!(traces.len(), cases, "not enough small completed executions");
+    traces
+}
+
 /// On every reachable small trace, the encoder's verdicts equal the
 /// oracle's, COP for COP.
 #[test]
 fn encoder_matches_oracle() {
-    let mut rng = SmallRng::seed_from_u64(0xD1FF);
-    // `PROPTEST_CASES` kept its name when the suite moved off proptest.
-    let cases: usize = std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
-    let mut checked = 0;
-    for _attempt in 0..cases * 20 {
-        if checked == cases {
-            break;
-        }
-        let workers = gen_ops(&mut rng);
-        let program = build(&workers);
-        let seed = rng.gen_range(0..400u64);
-        let exec = execute(&program, &ExecConfig::seeded(seed)).unwrap();
-        if exec.outcome != Outcome::Completed || exec.trace.len() > 22 {
-            continue;
-        }
-        checked += 1;
-        assert!(check_consistency(&exec.trace).is_empty());
-        let got = detector_races(&exec.trace);
-        let want = oracle_races(&exec.trace.full_view(), 22);
+    for trace in &random_traces(0xD1FF, 64, gen_ops, 20, 0..=22) {
+        assert!(check_consistency(trace).is_empty());
+        let got = detector_races(trace);
+        let want = oracle_races(&trace.full_view(), 22);
         assert_eq!(
             got,
             want,
             "encoder vs oracle disagree on trace {:?}",
-            exec.trace.events()
+            trace.events()
         );
     }
-    assert_eq!(checked, cases, "not enough small completed executions");
 }
 
 /// Like [`gen_ops`] but larger: 2–3 workers, up to 5 ops each. The
@@ -157,26 +171,7 @@ fn gen_ops_sized(rng: &mut SmallRng) -> Vec<Vec<Op>> {
 ///   §2 axioms, ending in the adjacent COP (soundness, Thm. 1).
 #[test]
 fn baseline_races_contained_in_rv_and_witnesses_validate() {
-    let mut rng = SmallRng::seed_from_u64(0x7AB1E);
-    // `PROPTEST_CASES` kept its name when the suite moved off proptest.
-    let cases: usize = std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32);
-    let mut checked = 0;
-    for _attempt in 0..cases * 40 {
-        if checked == cases {
-            break;
-        }
-        let workers = gen_ops_sized(&mut rng);
-        let program = build(&workers);
-        let seed = rng.gen_range(0..400u64);
-        let exec = execute(&program, &ExecConfig::seeded(seed)).unwrap();
-        if exec.outcome != Outcome::Completed || exec.trace.len() > 22 {
-            continue;
-        }
-        checked += 1;
-        let trace = &exec.trace;
+    for trace in &random_traces(0x7AB1E, 32, gen_ops_sized, 40, 0..=22) {
         assert!(check_consistency(trace).is_empty());
         let view = trace.full_view();
 
@@ -238,7 +233,6 @@ fn baseline_races_contained_in_rv_and_witnesses_validate() {
             }
         }
     }
-    assert_eq!(checked, cases, "not enough small completed executions");
 }
 
 /// Everything the report decided, minus solver-effort numbers (slicing
@@ -277,27 +271,8 @@ fn verdict_fingerprint(report: &rvpredict::DetectionReport) -> String {
 /// slice (cone events < window events overall).
 #[test]
 fn slicing_is_verdict_and_witness_identical() {
-    let mut rng = SmallRng::seed_from_u64(0x51 << 8 | 0xCE);
-    // `PROPTEST_CASES` kept its name when the suite moved off proptest.
-    let cases: usize = std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(24);
-    let mut checked = 0;
     let mut sliced_somewhere = false;
-    for _attempt in 0..cases * 40 {
-        if checked == cases {
-            break;
-        }
-        let workers = gen_ops_sized(&mut rng);
-        let program = build(&workers);
-        let seed = rng.gen_range(0..400u64);
-        let exec = execute(&program, &ExecConfig::seeded(seed)).unwrap();
-        if exec.outcome != Outcome::Completed || exec.trace.len() < 6 || exec.trace.len() > 40 {
-            continue;
-        }
-        checked += 1;
-        let trace = &exec.trace;
+    for trace in &random_traces(0x51 << 8 | 0xCE, 24, gen_ops_sized, 40, 6..=40) {
         // A small window size so multi-window dedup is exercised too.
         for batch in [true, false] {
             let mut baseline: Option<String> = None;
@@ -333,7 +308,6 @@ fn slicing_is_verdict_and_witness_identical() {
             }
         }
     }
-    assert_eq!(checked, cases, "not enough small completed executions");
     assert!(
         sliced_somewhere,
         "the workload never exercised an actual slice"
@@ -346,27 +320,8 @@ fn slicing_is_verdict_and_witness_identical() {
 /// decide something across the workload.
 #[test]
 fn tiers_are_verdict_and_witness_identical() {
-    let mut rng = SmallRng::seed_from_u64(0x71E5);
-    // `PROPTEST_CASES` kept its name when the suite moved off proptest.
-    let cases: usize = std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(24);
-    let mut checked = 0;
     let mut screened_somewhere = false;
-    for _attempt in 0..cases * 40 {
-        if checked == cases {
-            break;
-        }
-        let workers = gen_ops_sized(&mut rng);
-        let program = build(&workers);
-        let seed = rng.gen_range(0..400u64);
-        let exec = execute(&program, &ExecConfig::seeded(seed)).unwrap();
-        if exec.outcome != Outcome::Completed || exec.trace.len() < 6 || exec.trace.len() > 40 {
-            continue;
-        }
-        checked += 1;
-        let trace = &exec.trace;
+    for trace in &random_traces(0x71E5, 24, gen_ops_sized, 40, 6..=40) {
         // A small window size so multi-window dedup is exercised too.
         for batch in [true, false] {
             let mut baseline: Option<String> = None;
@@ -416,7 +371,6 @@ fn tiers_are_verdict_and_witness_identical() {
             }
         }
     }
-    assert_eq!(checked, cases, "not enough small completed executions");
     assert!(
         screened_somewhere,
         "the workload never exercised an actual tier decision"
@@ -433,27 +387,8 @@ fn tiers_are_verdict_and_witness_identical() {
 fn tier_decisions_agree_with_oracle_and_encoder() {
     use rvpredict::{ConsistencyMode, TierAnalysis, TierDecision};
 
-    let mut rng = SmallRng::seed_from_u64(0x0DD5);
-    // `PROPTEST_CASES` kept its name when the suite moved off proptest.
-    let cases: usize = std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32);
-    let mut checked = 0;
     let (mut confirms, mut refutes) = (0usize, 0usize);
-    for _attempt in 0..cases * 20 {
-        if checked == cases {
-            break;
-        }
-        let workers = gen_ops(&mut rng);
-        let program = build(&workers);
-        let seed = rng.gen_range(0..400u64);
-        let exec = execute(&program, &ExecConfig::seeded(seed)).unwrap();
-        if exec.outcome != Outcome::Completed || exec.trace.len() > 22 {
-            continue;
-        }
-        checked += 1;
-        let trace = &exec.trace;
+    for trace in &random_traces(0x0DD5, 32, gen_ops, 20, 0..=22) {
         let view = trace.full_view();
         let real = oracle_races(&view, 22);
         let en = rvcore::enumerate_cops(&view, false, usize::MAX);
@@ -511,7 +446,6 @@ fn tier_decisions_agree_with_oracle_and_encoder() {
             }
         }
     }
-    assert_eq!(checked, cases, "not enough small completed executions");
     assert!(confirms > 0, "the workload never exercised a confirmation");
     assert!(refutes > 0, "the workload never exercised a refutation");
 }
@@ -526,74 +460,59 @@ fn figure1_differential() {
     assert_eq!(got.len(), 1);
 }
 
-/// The `--no-incremental` A/B check, randomized: one resident solver
-/// session per window (per-COP assumption queries, learnt clauses
-/// retained across COPs) must decide exactly what encode-from-scratch
-/// decides — same verdicts, witnesses, and dedup signatures — in batch
-/// and per-COP mode, sliced and unsliced, at every worker count.
+/// The solve-path A/B check, randomized: the batched window session
+/// (per-COP selector queries, learnt clauses retained across COPs), its
+/// `--no-incremental` ablation (a fresh solver per selector query) and
+/// per-COP mode (a fresh encoding per COP) must decide exactly the same
+/// — same verdicts, witnesses, and dedup signatures — sliced and
+/// unsliced, at every worker count.
 #[test]
 fn incremental_solver_is_verdict_and_witness_identical() {
-    let mut rng = SmallRng::seed_from_u64(0x1CC);
-    // `PROPTEST_CASES` kept its name when the suite moved off proptest.
-    let cases: usize = std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
-    let mut checked = 0;
-    for _attempt in 0..cases * 40 {
-        if checked == cases {
-            break;
-        }
-        let workers = gen_ops_sized(&mut rng);
-        let program = build(&workers);
-        let seed = rng.gen_range(0..400u64);
-        let exec = execute(&program, &ExecConfig::seeded(seed)).unwrap();
-        if exec.outcome != Outcome::Completed || exec.trace.len() < 6 || exec.trace.len() > 40 {
-            continue;
-        }
-        checked += 1;
-        let trace = &exec.trace;
+    for trace in &random_traces(0x1CC, 16, gen_ops_sized, 40, 6..=40) {
         // A small window size so multi-window dedup is exercised too.
         let mut baseline: Option<String> = None;
-        for incremental in [true, false] {
-            for batch in [true, false] {
-                for slice in [true, false] {
-                    for jobs in [1usize, 2, 4, 8] {
-                        let cfg = DetectorConfig {
-                            window_size: 16,
-                            incremental,
-                            batch_windows: batch,
-                            slice,
-                            parallelism: jobs,
-                            ..Default::default()
-                        };
-                        let report = RaceDetector::with_config(cfg).detect(trace);
-                        let fp = verdict_fingerprint(&report);
-                        match &baseline {
-                            None => baseline = Some(fp),
-                            Some(b) => assert_eq!(
-                                &fp,
-                                b,
-                                "incremental={incremental} batch={batch} slice={slice} \
-                                 jobs={jobs} diverged on trace {:?}",
-                                trace.events()
-                            ),
-                        }
+        for (batch, incremental) in SOLVE_PATHS {
+            for slice in [true, false] {
+                for jobs in [1usize, 2, 4, 8] {
+                    let cfg = DetectorConfig {
+                        window_size: 16,
+                        incremental,
+                        batch_windows: batch,
+                        slice,
+                        parallelism: jobs,
+                        ..Default::default()
+                    };
+                    let report = RaceDetector::with_config(cfg).detect(trace);
+                    let fp = verdict_fingerprint(&report);
+                    match &baseline {
+                        None => baseline = Some(fp),
+                        Some(b) => assert_eq!(
+                            &fp,
+                            b,
+                            "incremental={incremental} batch={batch} slice={slice} \
+                             jobs={jobs} diverged on trace {:?}",
+                            trace.events()
+                        ),
                     }
                 }
             }
         }
     }
-    assert_eq!(checked, cases, "not enough small completed executions");
 }
+
+/// The three distinct solve configurations as `(batch_windows,
+/// incremental)`: the batched session, its `--no-incremental` ablation,
+/// and per-COP mode (where `incremental` is not read).
+const SOLVE_PATHS: [(bool, bool); 3] = [(true, true), (true, false), (false, false)];
 
 /// The learnt-clause poison test: a window whose session first *retires*
 /// two refuted COPs (their selector stays un-assumed forever after) and
 /// only then checks a satisfiable one. If any clause learnt under a
 /// retired COP's pinned race cut were retained unsoundly, the later COP
 /// would flip to `Unsat` under the incremental session — so the verdicts
-/// must equal the encode-from-scratch run's, both with the cascade on
-/// (the COPs below defeat both screens) and off (pure solver order).
+/// must equal the `--no-incremental` and per-COP runs', both with the
+/// cascade on (the COPs below defeat both screens) and off (pure solver
+/// order).
 #[test]
 fn retained_clauses_are_inert_after_a_cop_retires() {
     use rvtrace::{ThreadId, TraceBuilder};
@@ -631,96 +550,79 @@ fn retained_clauses_are_inert_after_a_cop_retires() {
 
     let mut baseline: Option<String> = None;
     for tiers in [true, false] {
-        for incremental in [true, false] {
-            for batch in [true, false] {
-                let cfg = DetectorConfig {
-                    tiers,
-                    incremental,
-                    batch_windows: batch,
-                    ..Default::default()
-                };
-                let report = RaceDetector::with_config(cfg).detect(&trace);
-                assert_eq!(report.n_races(), 1, "the late COP stays a race");
-                assert_eq!(report.stats.unsat, 2, "both handoff COPs stay refuted");
-                if tiers {
-                    // Tier A confirms the sync-free late COP directly; the
-                    // two handoff COPs still retire through the session. The
-                    // tiers-off leg is the full poison ordering: the same
-                    // session refutes both handoff COPs and *then* must still
-                    // find the late COP satisfiable.
-                    assert_eq!(report.stats.tier_residue, 2);
-                    assert_eq!(report.stats.tier_confirmed, 1);
-                } else {
-                    assert_eq!(report.stats.sat, 1, "the solver itself finds the race");
-                }
-                let fp = verdict_fingerprint(&report);
-                match &baseline {
-                    None => baseline = Some(fp),
-                    Some(b) => assert_eq!(
-                        &fp, b,
-                        "tiers={tiers} incremental={incremental} batch={batch} diverged"
-                    ),
-                }
+        for (batch, incremental) in SOLVE_PATHS {
+            let cfg = DetectorConfig {
+                tiers,
+                incremental,
+                batch_windows: batch,
+                ..Default::default()
+            };
+            let report = RaceDetector::with_config(cfg).detect(&trace);
+            assert_eq!(report.n_races(), 1, "the late COP stays a race");
+            assert_eq!(report.stats.unsat, 2, "both handoff COPs stay refuted");
+            if tiers {
+                // Tier A confirms the sync-free late COP directly; the two
+                // handoff COPs still retire through the session. The
+                // tiers-off leg is the full poison ordering: the same
+                // session refutes both handoff COPs and *then* must still
+                // find the late COP satisfiable.
+                assert_eq!(report.stats.tier_residue, 2);
+                assert_eq!(report.stats.tier_confirmed, 1);
+            } else {
+                assert_eq!(report.stats.sat, 1, "the solver itself finds the race");
+            }
+            let fp = verdict_fingerprint(&report);
+            match &baseline {
+                None => baseline = Some(fp),
+                Some(b) => assert_eq!(
+                    &fp, b,
+                    "tiers={tiers} incremental={incremental} batch={batch} diverged"
+                ),
             }
         }
     }
 }
 
-/// The `--portfolio` A/B check, randomized: racing the session query
-/// against the tier screens (on a cancellable clone of the session
-/// solver) must keep the *whole report* — verdicts, witnesses, solver
-/// effort, count-type counters — byte-identical to portfolio-off, at
-/// every worker count. Compared via `deterministic_summary`, the
-/// strictest rendering the repo has.
+/// `incremental` is read only in batch mode: with `batch_windows` off,
+/// every COP is encoded and solved fresh whatever `incremental` says, so
+/// the *whole report* — verdicts, witnesses, solver effort, count-type
+/// counters — must be byte-identical with it on or off, at every worker
+/// count. Compared via `deterministic_summary`, the strictest rendering
+/// the repo has.
 #[test]
-fn portfolio_reports_are_byte_identical() {
-    let mut rng = SmallRng::seed_from_u64(0x90F0);
-    // `PROPTEST_CASES` kept its name when the suite moved off proptest.
-    let cases: usize = std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
-    let mut checked = 0;
-    for _attempt in 0..cases * 40 {
-        if checked == cases {
-            break;
-        }
-        let workers = gen_ops_sized(&mut rng);
-        let program = build(&workers);
-        let seed = rng.gen_range(0..400u64);
-        let exec = execute(&program, &ExecConfig::seeded(seed)).unwrap();
-        if exec.outcome != Outcome::Completed || exec.trace.len() < 6 || exec.trace.len() > 40 {
-            continue;
-        }
-        checked += 1;
-        let trace = &exec.trace;
-        // Portfolio races per-COP session queries, so pin the per-COP
-        // incremental mode on both sides of the comparison.
-        let mut baseline: Option<String> = None;
-        for portfolio in [false, true] {
-            for jobs in [1usize, 2, 4, 8] {
-                let cfg = DetectorConfig {
-                    window_size: 16,
-                    batch_windows: false,
-                    incremental: true,
-                    portfolio,
-                    parallelism: jobs,
-                    ..Default::default()
-                };
-                let summary = RaceDetector::with_config(cfg)
-                    .detect(trace)
-                    .deterministic_summary();
-                match &baseline {
-                    None => baseline = Some(summary),
-                    Some(b) => assert_eq!(
-                        &summary,
-                        b,
-                        "portfolio={portfolio} jobs={jobs} diverged on trace {:?}",
-                        trace.events()
-                    ),
+fn incremental_is_inert_outside_batch_mode() {
+    let figure1 = rvsim::workloads::figures::figure1().trace;
+    let random = random_traces(0x90F0, 16, gen_ops_sized, 40, 6..=40);
+    for trace in std::iter::once(&figure1).chain(&random) {
+        // Tiers off sends every COP to the solver, so the effort counters
+        // see every solve.
+        for tiers in [true, false] {
+            let mut baseline: Option<String> = None;
+            for incremental in [true, false] {
+                for jobs in [1usize, 2, 4, 8] {
+                    let cfg = DetectorConfig {
+                        window_size: 16,
+                        batch_windows: false,
+                        incremental,
+                        tiers,
+                        parallelism: jobs,
+                        ..Default::default()
+                    };
+                    let summary = RaceDetector::with_config(cfg)
+                        .detect(trace)
+                        .deterministic_summary();
+                    match &baseline {
+                        None => baseline = Some(summary),
+                        Some(b) => assert_eq!(
+                            &summary,
+                            b,
+                            "tiers={tiers} incremental={incremental} jobs={jobs} diverged \
+                             on trace {:?}",
+                            trace.events()
+                        ),
+                    }
                 }
             }
         }
     }
-    assert_eq!(checked, cases, "not enough small completed executions");
 }

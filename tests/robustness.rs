@@ -120,6 +120,23 @@ fn cli_truncated_json_exits_2_with_position() {
     assert!(e.contains("at byte"), "{e}");
 }
 
+/// 200,000 nested `[` used to overflow the recursive parser's stack and
+/// abort the process (exit 134). The nesting cap makes it an ordinary
+/// parse error with a byte offset, in every ingestion mode.
+#[test]
+fn cli_deeply_nested_json_exits_2_in_every_mode() {
+    let path = fixture("deeply_nested.json", &"[".repeat(200_000));
+    let path = path.to_str().unwrap();
+    for mode in [None, Some("--stream"), Some("--lenient")] {
+        let args: Vec<&str> = mode.into_iter().chain([path]).collect();
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(2), "{mode:?}");
+        let e = stderr(&out);
+        assert!(e.contains("nesting deeper than"), "{mode:?}: {e}");
+        assert!(e.contains("at byte"), "{mode:?}: {e}");
+    }
+}
+
 #[test]
 fn cli_unknown_event_kind_exits_2() {
     let path = fixture(
