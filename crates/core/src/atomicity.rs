@@ -18,7 +18,7 @@
 use std::collections::HashSet;
 
 use rvsmt::{Budget, SmtResult, Solver, TermId};
-use rvtrace::{EventId, RaceSignature, Schedule, Trace, View, ViewExt};
+use rvtrace::{EventId, RaceSignature, Schedule, Trace, View, WindowStream};
 
 use crate::config::DetectorConfig;
 use crate::encoder::{encode_between, EncoderOptions};
@@ -111,7 +111,7 @@ impl AtomicityDetector {
     /// Runs the analysis over the whole trace with inferred RMW pairs.
     pub fn detect(&self, trace: &Trace) -> AtomicityReport {
         let mut report = AtomicityReport::default();
-        for view in trace.windows(self.config.window_size) {
+        for view in WindowStream::new(trace, self.config.window_size) {
             let pairs = infer_rmw_pairs(&view);
             self.detect_in_view(&view, &pairs, &mut report);
         }
@@ -232,7 +232,7 @@ impl AtomicityDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rvtrace::{ThreadId, TraceBuilder};
+    use rvtrace::{ThreadId, TraceBuilder, ViewExt};
 
     /// The canonical lost update: two unprotected increments.
     #[test]

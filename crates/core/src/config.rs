@@ -117,7 +117,9 @@ impl FaultPlan {
 /// deduplication by signature on.
 #[derive(Debug, Clone)]
 pub struct DetectorConfig {
-    /// Window size in events (paper §4: "typically 10K").
+    /// Window size in events (paper §4: "typically 10K"). Must be nonzero:
+    /// the detection drivers panic on zero, and the CLI and the daemon
+    /// reject it as a usage error.
     pub window_size: usize,
     /// Per-COP solver wall-clock budget (paper §4: one minute).
     pub solver_timeout: Duration,
@@ -174,9 +176,10 @@ pub struct DetectorConfig {
     /// the pairs scanned — enumeration still visits every same-variable
     /// write×write and write×read pair.
     pub max_cops_per_signature: usize,
-    /// Number of worker threads solving windows concurrently. `1` runs the
-    /// fully serial driver; the default is the machine's available
-    /// parallelism. Reports are deterministic regardless of this value:
+    /// Number of worker threads solving windows concurrently; the default
+    /// is the machine's available parallelism. Every value runs the same
+    /// scheduler (`1` means one worker beside the producing and merging
+    /// threads). Reports are deterministic regardless of this value:
     /// window outcomes are merged in window order and deduplicated at merge
     /// time (see `RaceDetector::detect`).
     pub parallelism: usize,

@@ -33,7 +33,7 @@ use std::collections::{HashMap, HashSet};
 
 use rvsmt::{Budget, SmtResult, Solver};
 use rvtrace::{
-    check_schedule, EventId, EventKind, LockId, Schedule, ThreadId, Trace, View, ViewExt,
+    check_schedule, EventId, EventKind, LockId, Schedule, ThreadId, Trace, View, WindowStream,
 };
 
 use crate::config::DetectorConfig;
@@ -217,7 +217,7 @@ impl DeadlockDetector {
     /// Runs the analysis over the whole trace.
     pub fn detect(&self, trace: &Trace) -> DeadlockReport {
         let mut report = DeadlockReport::default();
-        for view in trace.windows(self.config.window_size) {
+        for view in WindowStream::new(trace, self.config.window_size) {
             self.detect_in_view(&view, &mut report);
         }
         report
@@ -292,7 +292,7 @@ impl DeadlockDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rvtrace::TraceBuilder;
+    use rvtrace::{TraceBuilder, ViewExt};
 
     fn inversion_trace(gated: bool) -> Trace {
         let mut b = TraceBuilder::new();

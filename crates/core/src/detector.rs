@@ -16,22 +16,32 @@
 //! every solver result becomes a verdict through one function, so the
 //! paths differ only in how the formula is built and queried.
 //!
-//! # Parallel driver
+//! # One window driver
 //!
 //! Windows are independent solving problems (each gets its own encoder and
-//! solver), so [`RaceDetector::detect`] farms them out to a bounded pool of
-//! scoped worker threads ([`DetectorConfig::parallelism`]). Determinism is
-//! preserved by splitting the work into a *solve* phase and a *merge*
-//! phase:
+//! solver), so every driver runs the same schedule. One
+//! [`WindowCursor`] walks the windows in order — carrying the boundary
+//! state, and in cone mode the straddle tracker — over a complete trace
+//! ([`RaceDetector::detect`]) or over the growing prefix a streaming
+//! parser has decoded ([`RaceDetector::detect_stream`]). One scoped
+//! scheduler hands each window job to [`DetectorConfig::parallelism`]
+//! workers through a bounded queue; the workers build the job's view and
+//! solve it, so window state stays bounded by the pool and the queue.
+//! Determinism is preserved by splitting the work into a *solve* phase and
+//! a *merge* phase:
 //!
 //! * each worker produces a [`WindowOutcome`]: an ordered list of per-COP
 //!   records whose content depends only on the window itself (workers never
 //!   consult cross-window state when deciding verdicts);
-//! * the driver merges outcomes **in window order**, replaying each record
-//!   against the authoritative set of confirmed signatures — a record whose
-//!   signature was already confirmed (in an earlier window, or earlier in
-//!   the same window) is discarded wholesale, exactly as the serial driver
-//!   would have skipped it before solving.
+//! * one in-order merge replays outcomes **in window order** against the
+//!   authoritative set of confirmed signatures — a record whose signature
+//!   was already confirmed (in an earlier window, or earlier in the same
+//!   window) is discarded wholesale, exactly as a serial run would have
+//!   skipped it before solving.
+//!
+//! The session layer's shared pool (`crate::session`) is the one other
+//! scheduler: its threads outlive a call and serve many tenants. It runs
+//! the same cursor, window solve and in-order merge.
 //!
 //! Speculative work (a worker solving a COP whose signature an earlier,
 //! still-unmerged window will confirm) costs time but never changes output.
@@ -45,11 +55,12 @@
 //!
 //! # Fault tolerance
 //!
-//! Every window solve runs under [`std::panic::catch_unwind`]: a worker
-//! panic (a solver bug, a poisoned window, an injected fault) is converted
-//! into a [`WindowOutcome::Failed`] record that merges in window order
-//! like any other outcome, so one bad window degrades the report instead
-//! of tearing down the whole `std::thread::scope` run. Per-COP budget
+//! Every window solve — view construction included — runs under
+//! [`std::panic::catch_unwind`]: a worker panic (a solver bug, a poisoned
+//! window, an injected fault) is converted into a
+//! [`WindowOutcome::Failed`] record that merges in window order like any
+//! other outcome, so one bad window degrades the report instead of
+//! tearing down the whole `std::thread::scope` run. Per-COP budget
 //! exhaustion is three-valued: `Undecided(Timeout | ConflictBudget |
 //! WorkerPanic | EncodeError)` is tallied in [`DetectionStats`] rather
 //! than silently reading as "no race". The shared published-signature set
@@ -63,14 +74,15 @@
 
 use std::collections::{BTreeMap, HashSet};
 use std::io::Read;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use rvsmt::{Budget, SmtResult, Solver, StopReason};
 use rvtrace::{
-    validate_wait_links, BoundaryTracker, Cop, IngestStats, JsonError, RaceSignature, Schedule,
-    StraddlePlan, StreamParser, Trace, View, ViewExt, WindowBoundary,
+    validate_wait_links, Cop, IngestStats, JsonError, RaceSignature, Schedule, StraddlePlan,
+    StreamParser, Trace, View, WindowCursor, WindowJob,
 };
 
 use crate::config::{DetectorConfig, Fault, WindowMode};
@@ -228,15 +240,6 @@ enum WindowOutcome {
     Failed(FailedWindow),
 }
 
-impl WindowOutcome {
-    fn window_index(&self) -> usize {
-        match self {
-            WindowOutcome::Solved(s) => s.window_index,
-            WindowOutcome::Failed(f) => f.window_index,
-        }
-    }
-}
-
 /// An opaque solved-window result: produced by
 /// [`RaceDetector::solve_window_result`], consumed (in window order) by
 /// [`RaceDetector::merge_window_result`]. These are the two halves of the
@@ -250,29 +253,34 @@ pub struct WindowResult(WindowOutcome);
 impl WindowResult {
     /// The window index this result belongs to (the merge-order key).
     pub fn window_index(&self) -> usize {
-        self.0.window_index()
-    }
-
-    /// A synthetic failure result for a window whose solve never
-    /// completed (e.g. a worker that died outside the isolated solve).
-    /// Merges exactly like a window poisoned by an in-solve panic.
-    pub fn failed(window_index: usize, range: std::ops::Range<usize>, reason: String) -> Self {
-        WindowResult(WindowOutcome::Failed(FailedWindow {
-            window_index,
-            range,
-            reason,
-        }))
+        match &self.0 {
+            WindowOutcome::Solved(s) => s.window_index,
+            WindowOutcome::Failed(f) => f.window_index,
+        }
     }
 }
 
-/// Renders a panic payload for a [`FailedWindow`] record.
-pub(crate) fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+/// Runs one window's solve under panic isolation: a panic anywhere in
+/// `solve` (including injected `Fault::Panic`s) becomes a failed-window
+/// result instead of unwinding into the worker loop, so one bad window
+/// degrades the report instead of tearing down the run.
+fn isolated(
+    window_index: usize,
+    range: std::ops::Range<usize>,
+    solve: impl FnOnce() -> SolvedWindow,
+) -> WindowResult {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(solve)) {
+        Ok(solved) => WindowResult(WindowOutcome::Solved(solved)),
+        Err(payload) => {
+            let reason = (payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            WindowResult(WindowOutcome::Failed(FailedWindow {
+                window_index,
+                range,
+                reason,
+            }))
+        }
     }
 }
 
@@ -311,23 +319,6 @@ impl PublishedSet {
     }
 }
 
-/// One window of streamed detection work: the window's range, the boundary
-/// state (lock/value carry) at its start, and an [`Arc`] snapshot of a
-/// trace *prefix* that covers it. A window's view — and therefore its SMT
-/// encoding and verdicts — is a pure function of the window's own events
-/// plus the boundary, so solving against any prefix that reaches the
-/// window's end is byte-identical to solving against the full trace.
-struct StreamJob {
-    index: usize,
-    range: std::ops::Range<usize>,
-    boundary: WindowBoundary,
-    trace: Arc<Trace>,
-    /// The window's straddle plan (cone mode only). Like the boundary, a
-    /// pure function of the event prefix, so streamed plans are identical
-    /// to the whole-file drivers'.
-    plan: Option<StraddlePlan>,
-}
-
 /// The result of [`RaceDetector::detect_stream`]: the fully ingested
 /// trace, the detection report, and the ingestion counters.
 #[derive(Debug)]
@@ -353,10 +344,64 @@ fn io_error(bytes_fed: usize, e: std::io::Error) -> JsonError {
     }
 }
 
-/// Records the time of the first merged race, once.
-fn note_first_race(report: &mut DetectionReport, start: Instant) {
-    if report.stats.time_to_first_race.is_none() && !report.races.is_empty() {
-        report.stats.time_to_first_race = Some(start.elapsed());
+/// The one in-order merge: buffers window results that arrive in
+/// completion order and replays them in window order against the run's
+/// confirmed-signature set, so dedup decisions are reproducible at any
+/// scheduling. Serves the built-in scheduler and the session layer alike.
+#[derive(Debug)]
+pub(crate) struct InOrderMerge {
+    pending: BTreeMap<usize, WindowResult>,
+    next: usize,
+    report: DetectionReport,
+    confirmed: HashSet<RaceSignature>,
+    /// The first-race clock's zero.
+    start: Instant,
+}
+
+impl InOrderMerge {
+    /// An empty merge whose first-race clock started at `start`.
+    pub(crate) fn new(start: Instant) -> Self {
+        InOrderMerge {
+            pending: BTreeMap::new(),
+            next: 0,
+            report: DetectionReport::default(),
+            confirmed: HashSet::new(),
+            start,
+        }
+    }
+
+    /// Buffers one result and merges every window now contiguous; newly
+    /// confirmed signatures are published for in-flight workers.
+    pub(crate) fn push(
+        &mut self,
+        detector: &RaceDetector,
+        result: WindowResult,
+        published: &PublishedSet,
+    ) {
+        self.pending.insert(result.window_index(), result);
+        while let Some(result) = self.pending.remove(&self.next) {
+            detector.merge_window_result(
+                result,
+                &mut self.report,
+                &mut self.confirmed,
+                Some(published),
+            );
+            self.next += 1;
+        }
+        if self.report.stats.time_to_first_race.is_none() && !self.report.races.is_empty() {
+            self.report.stats.time_to_first_race = Some(self.start.elapsed());
+        }
+    }
+
+    /// Windows merged so far.
+    pub(crate) fn merged(&self) -> usize {
+        self.next
+    }
+
+    /// Takes the merged report; every pushed result must have merged.
+    pub(crate) fn take_report(&mut self) -> DetectionReport {
+        debug_assert!(self.pending.is_empty(), "every window outcome merged");
+        std::mem::take(&mut self.report)
     }
 }
 
@@ -403,167 +448,42 @@ impl RaceDetector {
         &self.config
     }
 
-    /// True when cross-boundary prediction (`--window-mode cone`) is on.
-    fn cone_mode(&self) -> bool {
-        self.config.window_mode == WindowMode::Cone
-    }
-
-    /// The straddle plan for every window of `trace`, computed by one
-    /// sequential [`BoundaryTracker`] sweep. Plans are pure functions of
-    /// the trace prefix and the spill budget, so every driver — eager,
-    /// pipelined, streamed, session — derives identical plans at every
-    /// worker count. All-`None` in fixed mode (and for every window whose
-    /// COPs all sit inside their own window, which keeps the non-straddling
-    /// fast path byte-identical to fixed mode).
-    fn window_plans(&self, trace: &Trace) -> Vec<Option<StraddlePlan>> {
-        let size = self.config.window_size.max(1);
-        if !self.cone_mode() {
-            return (0..trace.len().div_ceil(size)).map(|_| None).collect();
-        }
-        let mut tracker =
-            BoundaryTracker::new(WindowBoundary::initial(trace), self.config.spill_events());
-        let mut plans = Vec::with_capacity(trace.len().div_ceil(size));
-        let mut start = 0usize;
-        while start < trace.len() {
-            let end = (start + size).min(trace.len());
-            plans.push(tracker.plan(trace.events(), start..end, |v| trace.is_volatile(v)));
-            tracker.advance(trace.events(), start..end);
-            start = end;
-        }
-        plans
+    /// The window walk this configuration runs: fixed or cone mode, at
+    /// the configured window size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window_size == 0`.
+    pub(crate) fn cursor(&self) -> WindowCursor {
+        let cone = self.config.window_mode == WindowMode::Cone;
+        WindowCursor::new(
+            self.config.window_size,
+            cone.then(|| self.config.spill_events()),
+        )
     }
 
     /// Runs detection over the whole trace, window by window.
     ///
-    /// With `config.parallelism == 1` windows are solved inline; otherwise
-    /// a scoped pool of worker threads claims windows from a shared
-    /// counter. Either way outcomes are merged in window order, so races,
-    /// signatures and verdict counters are identical for every thread
-    /// count (wall-clock timings, of course, are not).
+    /// Windows are solved by [`DetectorConfig::parallelism`] scoped
+    /// workers and merged in window order, so races, signatures and
+    /// verdict counters are identical for every worker count (wall-clock
+    /// timings, of course, are not). Views are built lazily by the
+    /// workers, so window state stays bounded by the worker pool plus its
+    /// dispatch queue (the `peak_window_residency` gauge).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configured window size is zero.
     pub fn detect(&self, trace: &Trace) -> DetectionReport {
         let start = Instant::now();
-        let mut report = DetectionReport::default();
-        let mut confirmed: HashSet<RaceSignature> = HashSet::new();
-        let workers = self.config.parallelism.max(1);
-        // Eager windowing: every view is materialized up front, so the
-        // whole run's window state is resident at once (cf. the bounded
-        // `detect_pipelined`/`detect_stream` drivers).
-        let views: Vec<View<'_>> = trace.windows(self.config.window_size);
-        let plans = self.window_plans(trace);
-        report.stats.peak_window_residency = views.len();
-        if workers == 1 {
-            // Inline solve-then-merge per window. The published set is
-            // always fully caught up here, so the early-skip rules fire
-            // exactly as in the historical serial driver.
-            let published = PublishedSet::new();
-            for (index, view) in views.iter().enumerate() {
-                let plan = plans.get(index).and_then(Option::as_ref);
-                let outcome = self.solve_window_isolated(index, view, plan, Some(&published));
-                self.merge_outcome(outcome, &mut report, &mut confirmed, Some(&published));
-                note_first_race(&mut report, start);
+        let mut cursor = self.cursor();
+        // No more workers than windows: a one-window trace needs one.
+        let windows = trace.len().div_ceil(self.config.window_size);
+        let (report, ()) = self.schedule(start, windows, |dispatch| {
+            while let Some(job) = cursor.next(trace, true) {
+                dispatch(job, trace);
             }
-        } else {
-            // The window carry (lock/value state at each window boundary)
-            // forces view *construction* to stay sequential; only solving
-            // fans out.
-            self.detect_parallel(&views, &plans, workers, &mut report, &mut confirmed, start);
-        }
-        report.stats.wall_time = start.elapsed();
-        report
-    }
-
-    /// Runs detection over a single pre-built view (used by benchmarks and
-    /// by the baselines that share this driver).
-    pub fn detect_in_window(&self, view: &View<'_>) -> DetectionReport {
-        let start = Instant::now();
-        let mut report = DetectionReport::default();
-        let mut confirmed = HashSet::new();
-        let outcome = self.solve_window_isolated(0, view, None, None);
-        self.merge_outcome(outcome, &mut report, &mut confirmed, None);
-        report.stats.wall_time = start.elapsed();
-        report
-    }
-
-    /// Like [`RaceDetector::detect`], but windows are built lazily from a
-    /// [`WindowStream`] and handed to the workers through a bounded queue,
-    /// so at most `parallelism + queue` window views are resident at once
-    /// instead of all of them. Output is byte-identical to `detect` —
-    /// summary and count-type metrics — at every worker count; only the
-    /// `peak_window_residency` gauge and the wall-clock timings differ.
-    pub fn detect_pipelined(&self, trace: &Trace) -> DetectionReport {
-        let start = Instant::now();
-        let mut report = DetectionReport::default();
-        let mut confirmed: HashSet<RaceSignature> = HashSet::new();
-        let workers = self.config.parallelism.max(1);
-        let size = self.config.window_size;
-        let published = PublishedSet::new();
-        // Plans are tiny relative to views (only straddling windows carry
-        // one), so computing them eagerly keeps residency claims about
-        // *views* intact.
-        let plans = self.window_plans(trace);
-        if workers == 1 {
-            // One view alive at a time: build, solve, merge, drop.
-            let mut peak = 0usize;
-            for (index, view) in trace.window_stream(size).enumerate() {
-                peak = 1;
-                let plan = plans.get(index).and_then(Option::as_ref);
-                let outcome = self.solve_window_isolated(index, &view, plan, Some(&published));
-                drop(view);
-                self.merge_outcome(outcome, &mut report, &mut confirmed, Some(&published));
-                note_first_race(&mut report, start);
-            }
-            report.stats.peak_window_residency = peak;
-        } else {
-            let residency = AtomicUsize::new(0);
-            let peak = AtomicUsize::new(0);
-            // The bounded queue is the backpressure: when every worker is
-            // busy and the queue is full, the producer blocks instead of
-            // materializing further views.
-            let (job_tx, job_rx) = mpsc::sync_channel::<(usize, View<'_>)>(workers + 2);
-            let job_rx = Mutex::new(job_rx);
-            let (out_tx, out_rx) = mpsc::channel::<WindowOutcome>();
-            std::thread::scope(|scope| {
-                let published = &published;
-                let residency = &residency;
-                let peak = &peak;
-                let job_rx = &job_rx;
-                let plans = &plans;
-                for _ in 0..workers {
-                    let out_tx = out_tx.clone();
-                    scope.spawn(move || loop {
-                        let job = job_rx
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .recv();
-                        let Ok((index, view)) = job else { break };
-                        let plan = plans.get(index).and_then(Option::as_ref);
-                        let outcome =
-                            self.solve_window_isolated(index, &view, plan, Some(published));
-                        drop(view);
-                        residency.fetch_sub(1, Ordering::Relaxed);
-                        if out_tx.send(outcome).is_err() {
-                            break;
-                        }
-                    });
-                }
-                drop(out_tx);
-                // The producer gets its own thread so this one can merge
-                // outcomes (and publish confirmed signatures) while views
-                // are still being constructed.
-                scope.spawn(move || {
-                    for (index, view) in trace.window_stream(size).enumerate() {
-                        let live = residency.fetch_add(1, Ordering::Relaxed) + 1;
-                        peak.fetch_max(live, Ordering::Relaxed);
-                        if job_tx.send((index, view)).is_err() {
-                            break;
-                        }
-                    }
-                });
-                self.merge_in_order(out_rx, &mut report, &mut confirmed, published, start);
-            });
-            report.stats.peak_window_residency = peak.load(Ordering::Relaxed);
-        }
-        report.stats.wall_time = start.elapsed();
+        });
         report
     }
 
@@ -580,82 +500,26 @@ impl RaceDetector {
     /// ingested so far; a window's verdicts are a pure function of its
     /// events and its boundary state, so the merged report is
     /// byte-identical to [`RaceDetector::detect`] on the whole file, at
-    /// every worker count. Window-state residency is bounded by the worker
-    /// pool plus the dispatch queue (the `stream.peak_window_residency`
-    /// gauge), and the first race can be reported while ingestion is still
-    /// running (`detector.time_to_first_race`).
+    /// every worker count. The first race can be reported while ingestion
+    /// is still running (`detector.time_to_first_race`).
     ///
     /// The input is validated exactly like the whole-file strict path:
     /// syntax and shape errors surface with the same message and byte
     /// offset, and wait-link validation runs once ingestion completes
     /// (speculatively solved windows are discarded on failure).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configured window size is zero.
     pub fn detect_stream<R: Read>(&self, mut reader: R) -> Result<StreamDetection, JsonError> {
         let start = Instant::now();
-        let workers = self.config.parallelism.max(1);
-        let size = self.config.window_size.max(1);
-        let published = PublishedSet::new();
-        let residency = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        let (job_tx, job_rx) = mpsc::sync_channel::<StreamJob>(workers + 2);
-        let job_rx = Mutex::new(job_rx);
-        let (out_tx, out_rx) = mpsc::channel::<WindowOutcome>();
-        std::thread::scope(|scope| {
-            let published = &published;
-            let residency = &residency;
-            let peak = &peak;
-            let job_rx = &job_rx;
-            for _ in 0..workers {
-                let out_tx = out_tx.clone();
-                scope.spawn(move || loop {
-                    let job = job_rx
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .recv();
-                    let Ok(job) = job else { break };
-                    let view = job.boundary.view(&job.trace, job.range.clone());
-                    let outcome = self.solve_window_isolated(
-                        job.index,
-                        &view,
-                        job.plan.as_ref(),
-                        Some(published),
-                    );
-                    drop(view);
-                    drop(job);
-                    residency.fetch_sub(1, Ordering::Relaxed);
-                    if out_tx.send(outcome).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(out_tx);
-            let merger = scope.spawn(move || {
-                let mut report = DetectionReport::default();
-                let mut confirmed: HashSet<RaceSignature> = HashSet::new();
-                self.merge_in_order(out_rx, &mut report, &mut confirmed, published, start);
-                report
-            });
-            // Ingest + dispatch on this thread. The immediately-invoked
-            // closure lets `?` short-circuit on a parse error while the
-            // cleanup below still runs: dropping `job_tx` closes the job
-            // queue, the workers drain and exit, the merger finishes.
-            let dispatch = |job: StreamJob| {
-                let live = residency.fetch_add(1, Ordering::Relaxed) + 1;
-                peak.fetch_max(live, Ordering::Relaxed);
-                // Send fails only if every worker died; the report will
-                // show the windows that never merged as missing — but
-                // worker panics are caught per window, so in practice the
-                // queue outlives ingestion.
-                let _ = job_tx.send(job);
-            };
-            let io_result = (|| -> Result<(Arc<Trace>, IngestStats, Duration), JsonError> {
+        let mut cursor = self.cursor();
+        let (mut report, ingested) = self.schedule(
+            start,
+            usize::MAX,
+            |dispatch| -> Result<(Arc<Trace>, IngestStats, Duration), JsonError> {
                 let mut parser = StreamParser::new();
                 let mut chunk = vec![0u8; STREAM_CHUNK];
-                let mut boundary: Option<WindowBoundary> = None;
-                // Cone mode: the dispatcher also runs the straddle
-                // tracker, in lockstep with the boundary.
-                let mut tracker: Option<BoundaryTracker> = None;
-                let mut next_start = 0usize;
-                let mut next_index = 0usize;
                 let mut first_dispatch: Option<Duration> = None;
                 loop {
                     let n = reader
@@ -665,164 +529,118 @@ impl RaceDetector {
                         break;
                     }
                     parser.feed(&chunk[..n])?;
-                    // Dispatch every newly completed window. Gated on the
-                    // metadata: boundary state needs the initial values,
-                    // and a snapshot without the full metadata would not
-                    // be prefix-equivalent to the final trace.
-                    if !parser.metadata_complete() || parser.events().len() < next_start + size {
-                        continue;
-                    }
-                    let snapshot = Arc::new(Trace::from_data(parser.data().clone()));
-                    let boundary = boundary.get_or_insert_with(|| {
-                        WindowBoundary::from_initial_values(&snapshot.data().initial_values)
-                    });
-                    if self.cone_mode() && tracker.is_none() {
-                        tracker = Some(BoundaryTracker::new(
-                            WindowBoundary::from_initial_values(&snapshot.data().initial_values),
-                            self.config.spill_events(),
-                        ));
-                    }
-                    while next_start + size <= snapshot.len() {
-                        let range = next_start..next_start + size;
+                    // Gated on the metadata: boundary state needs the initial
+                    // values, and a snapshot without the full metadata would
+                    // not be prefix-equivalent to the final trace.
+                    let len = parser.events().len();
+                    if parser.metadata_complete() && cursor.next_range(len, false).is_some() {
+                        let snapshot = Arc::new(Trace::from_data(parser.data().clone()));
                         first_dispatch.get_or_insert_with(|| start.elapsed());
-                        let plan = tracker.as_ref().and_then(|t| {
-                            t.plan(snapshot.events(), range.clone(), |v| {
-                                snapshot.is_volatile(v)
-                            })
-                        });
-                        dispatch(StreamJob {
-                            index: next_index,
-                            range: range.clone(),
-                            boundary: boundary.clone(),
-                            trace: snapshot.clone(),
-                            plan,
-                        });
-                        if let Some(t) = tracker.as_mut() {
-                            t.advance(snapshot.events(), range.clone());
+                        while let Some(job) = cursor.next(&snapshot, false) {
+                            dispatch(job, snapshot.clone());
                         }
-                        boundary.advance(snapshot.events(), range);
-                        next_start += size;
-                        next_index += 1;
                     }
                 }
                 parser.finish()?;
-                // Strict-path parity: the whole-file reader validates
-                // wait links after parsing; so does the stream. On
-                // failure every speculative verdict is discarded.
+                // Strict-path parity: the whole-file reader validates wait
+                // links after parsing; so does the stream. On failure every
+                // speculative verdict is discarded.
                 validate_wait_links(parser.data())?;
                 let ingest = parser.stats();
                 let ingest_done = start.elapsed();
                 let trace = Arc::new(Trace::from_data(parser.into_data()));
-                let boundary = boundary.get_or_insert_with(|| {
-                    WindowBoundary::from_initial_values(&trace.data().initial_values)
-                });
-                if self.cone_mode() && tracker.is_none() {
-                    tracker = Some(BoundaryTracker::new(
-                        WindowBoundary::from_initial_values(&trace.data().initial_values),
-                        self.config.spill_events(),
-                    ));
+                while let Some(job) = cursor.next(&trace, true) {
+                    dispatch(job, trace.clone());
                 }
-                while next_start < trace.len() {
-                    let end = (next_start + size).min(trace.len());
-                    let range = next_start..end;
-                    let plan = tracker.as_ref().and_then(|t| {
-                        t.plan(trace.events(), range.clone(), |v| trace.is_volatile(v))
-                    });
-                    dispatch(StreamJob {
-                        index: next_index,
-                        range: range.clone(),
-                        boundary: boundary.clone(),
-                        trace: trace.clone(),
-                        plan,
-                    });
-                    if let Some(t) = tracker.as_mut() {
-                        t.advance(trace.events(), range.clone());
-                    }
-                    boundary.advance(trace.events(), range);
-                    next_start = end;
-                    next_index += 1;
-                }
-                let overlap = first_dispatch
-                    .map(|t| ingest_done.saturating_sub(t))
-                    .unwrap_or(Duration::ZERO);
+                let overlap =
+                    first_dispatch.map_or(Duration::ZERO, |t| ingest_done.saturating_sub(t));
                 Ok((trace, ingest, overlap))
-            })();
-            drop(job_tx);
-            let mut report = merger.join().expect("merge thread panicked");
-            let (trace, ingest, overlap) = io_result?;
-            report.stats.peak_window_residency = peak.load(Ordering::Relaxed);
-            report.stats.ingest_overlap = Some(overlap);
-            report.stats.wall_time = start.elapsed();
-            // Every worker has exited (the merger saw the channel close),
-            // so the final Arc is the last one standing.
-            let trace = Arc::try_unwrap(trace).unwrap_or_else(|a| (*a).clone());
-            Ok(StreamDetection {
-                trace,
-                report,
-                ingest,
-            })
+            },
+        );
+        let (trace, ingest, overlap) = ingested?;
+        report.stats.ingest_overlap = Some(overlap);
+        // Every worker has exited, so the final Arc is the last one
+        // standing.
+        let trace = Arc::try_unwrap(trace).unwrap_or_else(|a| (*a).clone());
+        Ok(StreamDetection {
+            trace,
+            report,
+            ingest,
         })
     }
 
-    /// Fans `views` out to a bounded scoped pool; merges in window order as
-    /// outcomes stream back.
-    fn detect_parallel(
+    /// The one window scheduler, behind [`detect`](RaceDetector::detect)
+    /// and [`detect_stream`](RaceDetector::detect_stream). `produce` runs
+    /// on the calling thread and hands each window job, with a trace that
+    /// covers it, to `dispatch` in window order. `parallelism` scoped
+    /// workers (never more than `max_windows`) build each job's view and
+    /// solve it under panic isolation; a merger thread merges the results
+    /// in window order as they arrive. The bounded job queue is the
+    /// backpressure: once every worker is busy and the queue is full,
+    /// `dispatch` blocks, so at most `2 · workers + 3` jobs are in flight
+    /// — queued, solving, or being dispatched (the `peak_window_residency`
+    /// gauge).
+    fn schedule<T, R>(
         &self,
-        views: &[View<'_>],
-        plans: &[Option<StraddlePlan>],
-        workers: usize,
-        report: &mut DetectionReport,
-        confirmed: &mut HashSet<RaceSignature>,
         start: Instant,
-    ) {
+        max_windows: usize,
+        produce: impl FnOnce(&mut dyn FnMut(WindowJob, T)) -> R,
+    ) -> (DetectionReport, R)
+    where
+        T: Deref<Target = Trace> + Send,
+    {
+        let workers = self.config.parallelism.clamp(1, max_windows.max(1));
         let published = PublishedSet::new();
-        let next_window = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<WindowOutcome>();
-        std::thread::scope(|scope| {
-            let published = &published;
-            let next_window = &next_window;
-            for _ in 0..workers.min(views.len()) {
-                let tx = tx.clone();
+        let residency = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let (job_tx, job_rx) = mpsc::sync_channel::<(WindowJob, T)>(workers + 2);
+        let job_rx = Mutex::new(job_rx);
+        let (out_tx, out_rx) = mpsc::channel::<WindowResult>();
+        let (mut report, produced) = std::thread::scope(|scope| {
+            let (published, residency, peak, job_rx) = (&published, &residency, &peak, &job_rx);
+            for _ in 0..workers {
+                let out_tx = out_tx.clone();
                 scope.spawn(move || loop {
-                    let index = next_window.fetch_add(1, Ordering::Relaxed);
-                    let Some(view) = views.get(index) else { break };
-                    let plan = plans.get(index).and_then(Option::as_ref);
-                    let outcome = self.solve_window_isolated(index, view, plan, Some(published));
-                    if tx.send(outcome).is_err() {
+                    let job = job_rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                    let Ok((job, trace)) = job else { break };
+                    let result = self.solve_job(&job, &trace, published);
+                    // Release the job's state before it leaves the count.
+                    drop((job, trace));
+                    residency.fetch_sub(1, Ordering::Relaxed);
+                    if out_tx.send(result).is_err() {
                         break;
                     }
                 });
             }
-            drop(tx);
-            self.merge_in_order(rx, report, confirmed, published, start);
+            drop(out_tx);
+            let merger = scope.spawn(move || {
+                let mut merge = InOrderMerge::new(start);
+                for result in out_rx {
+                    merge.push(self, result, published);
+                }
+                merge.take_report()
+            });
+            let mut dispatch = move |job: WindowJob, trace: T| {
+                let live = residency.fetch_add(1, Ordering::Relaxed) + 1;
+                peak.fetch_max(live, Ordering::Relaxed);
+                // Send fails only if every worker died; worker panics are
+                // caught per window, so in practice the queue outlives the
+                // producer.
+                let _ = job_tx.send((job, trace));
+            };
+            let produced = produce(&mut dispatch);
+            // Closing the queue lets the workers drain and exit, and then
+            // the merger finish.
+            drop(dispatch);
+            (merger.join().expect("merge thread panicked"), produced)
         });
-    }
-
-    /// Solves one window under panic isolation: a panic anywhere in the
-    /// solve (including injected `Fault::Panic`s) becomes a
-    /// [`WindowOutcome::Failed`] record instead of unwinding into the
-    /// worker loop or the serial driver.
-    fn solve_window_isolated(
-        &self,
-        window_index: usize,
-        view: &View<'_>,
-        plan: Option<&StraddlePlan>,
-        published: Option<&PublishedSet>,
-    ) -> WindowOutcome {
-        let solve =
-            std::panic::AssertUnwindSafe(|| self.solve_window(window_index, view, plan, published));
-        match std::panic::catch_unwind(solve) {
-            Ok(solved) => WindowOutcome::Solved(solved),
-            Err(payload) => WindowOutcome::Failed(FailedWindow {
-                window_index,
-                range: view.range(),
-                reason: panic_reason(payload.as_ref()),
-            }),
-        }
+        report.stats.peak_window_residency = peak.load(Ordering::Relaxed);
+        report.stats.wall_time = start.elapsed();
+        (report, produced)
     }
 
     /// Solves one window under panic isolation, as a building block for
-    /// external drivers (the session layer): the result must be handed to
+    /// external drivers: the result must be handed to
     /// [`RaceDetector::merge_window_result`] in window order. The solve is
     /// a pure function of the window's view (plus the skip-only
     /// `published` set and the window's deterministic straddle `plan`, if
@@ -834,21 +652,24 @@ impl RaceDetector {
         plan: Option<&StraddlePlan>,
         published: Option<&PublishedSet>,
     ) -> WindowResult {
-        WindowResult(self.solve_window_isolated(window_index, view, plan, published))
+        isolated(window_index, view.range(), || {
+            self.solve_window(window_index, view, plan, published)
+        })
     }
 
-    /// Merges one window's result into `report`. Must be called in window
-    /// order with the same `confirmed` set (and `published`, if any)
-    /// across the whole run — this is the replay that makes merged output
-    /// independent of solve scheduling.
-    pub fn merge_window_result(
+    /// Builds a job's view from `trace` (or any prefix covering it) and
+    /// solves it: the window solve of the built-in scheduler and the
+    /// session pool, isolated from panics in view construction too.
+    pub(crate) fn solve_job(
         &self,
-        result: WindowResult,
-        report: &mut DetectionReport,
-        confirmed: &mut HashSet<RaceSignature>,
-        published: Option<&PublishedSet>,
-    ) {
-        self.merge_outcome(result.0, report, confirmed, published);
+        job: &WindowJob,
+        trace: &Trace,
+        published: &PublishedSet,
+    ) -> WindowResult {
+        isolated(job.index, job.range.clone(), || {
+            let view = job.view(trace);
+            self.solve_window(job.index, &view, job.plan.as_ref(), Some(published))
+        })
     }
 
     /// Solves one window into an outcome record. Pure with respect to
@@ -978,7 +799,7 @@ impl RaceDetector {
     }
 
     /// The planned fault for this (window, COP) coordinate, if any.
-    /// `Fault::Panic` fires here (caught by `solve_window_isolated`);
+    /// `Fault::Panic` fires here (caught by the window's isolation);
     /// the other faults are returned as forced verdicts.
     fn apply_fault(&self, window: usize, cop_index: usize) -> Option<CopVerdict> {
         let fault = self
@@ -1431,38 +1252,18 @@ impl RaceDetector {
         }
     }
 
-    /// Merges outcomes that arrive in completion order: buffers them and
-    /// merges in window order, so dedup decisions are reproducible.
-    fn merge_in_order(
+    /// Merges one window's result into `report`. Must be called in window
+    /// order with the same `confirmed` set (and `published`, if any)
+    /// across the whole run — this is the replay that makes merged output
+    /// independent of solve scheduling, and where cross-window
+    /// deduplication happens: a record whose signature is already
+    /// confirmed is dropped wholesale (its counters included), reproducing
+    /// exactly what a serial run would have skipped before solving. Newly
+    /// confirmed signatures are pushed to `published` for in-flight
+    /// workers.
+    pub fn merge_window_result(
         &self,
-        outcomes: impl IntoIterator<Item = WindowOutcome>,
-        report: &mut DetectionReport,
-        confirmed: &mut HashSet<RaceSignature>,
-        published: &PublishedSet,
-        start: Instant,
-    ) {
-        let mut pending: BTreeMap<usize, WindowOutcome> = BTreeMap::new();
-        let mut cursor = 0usize;
-        for outcome in outcomes {
-            pending.insert(outcome.window_index(), outcome);
-            while let Some(outcome) = pending.remove(&cursor) {
-                self.merge_outcome(outcome, report, confirmed, Some(published));
-                note_first_race(report, start);
-                cursor += 1;
-            }
-        }
-        debug_assert!(pending.is_empty(), "every window outcome merged");
-    }
-
-    /// Replays one window's records against the authoritative confirmed
-    /// set, in window order. This is where cross-window deduplication
-    /// happens: a record whose signature is already confirmed is dropped
-    /// wholesale (its counters included), reproducing exactly what the
-    /// serial driver would have skipped before solving. Newly confirmed
-    /// signatures are pushed to `published` for in-flight workers.
-    fn merge_outcome(
-        &self,
-        outcome: WindowOutcome,
+        result: WindowResult,
         report: &mut DetectionReport,
         confirmed: &mut HashSet<RaceSignature>,
         published: Option<&PublishedSet>,
@@ -1470,7 +1271,7 @@ impl RaceDetector {
         let cfg = &self.config;
         let stats = &mut report.stats;
         stats.windows += 1;
-        let outcome = match outcome {
+        let outcome = match result.0 {
             WindowOutcome::Failed(failed) => {
                 stats.failed_windows += 1;
                 report.failed_windows.push(failed);
@@ -1939,34 +1740,31 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_matches_eager_at_every_worker_count() {
+    fn detect_is_identical_and_residency_bounded_at_every_worker_count() {
         let trace = multi_window_trace();
-        let eager = RaceDetector::with_config(DetectorConfig {
-            window_size: 8,
-            parallelism: 1,
+        let cfg = |workers| DetectorConfig {
+            window_size: 2,
+            parallelism: workers,
             ..Default::default()
-        })
-        .detect(&trace);
-        assert!(eager.n_races() >= 1, "sanity: the workload races");
-        assert_eq!(eager.stats.peak_window_residency, eager.stats.windows);
+        };
+        let serial = RaceDetector::with_config(cfg(1)).detect(&trace);
+        assert!(serial.n_races() >= 1, "sanity: the workload races");
+        assert!(serial.stats.windows >= 30, "{}", serial.stats.windows);
         for workers in [1usize, 2, 4, 8] {
-            let cfg = DetectorConfig {
-                window_size: 8,
-                parallelism: workers,
-                ..Default::default()
-            };
-            let piped = RaceDetector::with_config(cfg).detect_pipelined(&trace);
+            let report = RaceDetector::with_config(cfg(workers)).detect(&trace);
             assert_eq!(
-                piped.deterministic_summary(),
-                eager.deterministic_summary(),
+                report.deterministic_summary(),
+                serial.deterministic_summary(),
                 "workers={workers}"
             );
+            // Queue (workers + 2), one job per worker, one being
+            // dispatched: never the whole trace's windows at once.
             assert!(
-                piped.stats.peak_window_residency <= workers + (workers + 2) + 1,
+                report.stats.peak_window_residency <= 2 * workers + 3,
                 "workers={workers} peak={}",
-                piped.stats.peak_window_residency
+                report.stats.peak_window_residency
             );
-            assert!(piped.stats.time_to_first_race.is_some());
+            assert!(report.stats.time_to_first_race.is_some());
         }
     }
 
@@ -2162,7 +1960,8 @@ mod tests {
     fn straddle_dedup_is_deterministic_across_worker_counts_and_drivers() {
         // The same signature races in-window (window 0) *and* astride a
         // later boundary: the straddling duplicate must dedup identically
-        // whether windows were solved serially, pipelined, or streamed.
+        // whether windows were solved in memory, streamed, or by a session
+        // on the shared pool.
         let mut b = TraceBuilder::new();
         let x = b.var("x");
         let y = b.var("y");
@@ -2189,15 +1988,22 @@ mod tests {
                     parallelism: workers,
                     ..Default::default()
                 };
-                let eager = RaceDetector::with_config(cfg()).detect(&trace);
-                let piped = RaceDetector::with_config(cfg()).detect_pipelined(&trace);
+                let ndjson = rvtrace::to_ndjson(&trace);
+                let whole = RaceDetector::with_config(cfg()).detect(&trace);
                 let streamed = RaceDetector::with_config(cfg())
-                    .detect_stream(rvtrace::to_ndjson(&trace).as_bytes())
+                    .detect_stream(ndjson.as_bytes())
                     .unwrap();
+                let manager = crate::SessionManager::new(workers);
+                let mut session = manager.open_session(crate::SessionConfig {
+                    detector: cfg(),
+                    ..Default::default()
+                });
+                session.feed(ndjson.as_bytes()).unwrap();
+                let pooled = session.finish().unwrap();
                 [
-                    eager.deterministic_summary(),
-                    piped.deterministic_summary(),
+                    whole.deterministic_summary(),
                     streamed.report.deterministic_summary(),
+                    pooled.report.deterministic_summary(),
                 ]
             })
             .collect();

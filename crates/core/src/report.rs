@@ -254,12 +254,13 @@ pub struct DetectionStats {
     /// Per-window worker time (enumerate + encode + solve), indexed by
     /// window.
     pub window_times: Vec<Duration>,
-    /// High-water mark of window [`View`](rvtrace::View)s alive at once.
-    /// The eager driver materializes every window up front, so this equals
-    /// [`DetectionStats::windows`]; the pipelined/streaming drivers bound
-    /// it by the worker count plus the dispatch queue. Gauge-type: depends
-    /// on worker count and scheduling, excluded from the deterministic
-    /// summary.
+    /// High-water mark of window jobs in flight at once — dispatched but
+    /// not yet solved, each holding (or about to build) one window
+    /// [`View`](rvtrace::View). Every driver bounds it: `detect` and
+    /// `detect_stream` by the worker count plus the dispatch queue
+    /// (at most `2 · workers + 3`), a session by its resident-window cap.
+    /// Gauge-type: depends on worker count and scheduling, excluded from
+    /// the deterministic summary.
     pub peak_window_residency: usize,
     /// Wall-clock time from the start of detection (for the streaming
     /// driver: from the first byte read) until the first race was merged

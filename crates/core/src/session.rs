@@ -29,12 +29,14 @@
 //! A session's merged report is byte-identical (summary and count-type
 //! metrics) to running the same trace through the standalone drivers, at
 //! any worker count and any co-tenant mix: windows are solved as pure
-//! functions of their view via [`RaceDetector::solve_window_result`] and
-//! merged in window order via [`RaceDetector::merge_window_result`], with
-//! a per-session published-signature set — the same solve-then-merge
-//! protocol as `detect`/`detect_pipelined`/`detect_stream`. (Shedding and
-//! real wall-clock window budgets are by nature load-dependent; the
-//! contract holds whenever they do not fire.)
+//! functions of their view by the standalone drivers' window solve and
+//! merged in window order by the same in-order merge, with a per-session
+//! published-signature set — the solve-then-merge protocol of
+//! `detect`/`detect_stream`, over the same window cursor. The pool is the
+//! one scheduler besides theirs: its threads outlive any one call and are
+//! shared fairly by tenants, which scoped threads borrowing one trace
+//! cannot provide. (Shedding and real wall-clock window budgets are by
+//! nature load-dependent; the contract holds whenever they do not fire.)
 //!
 //! # Examples
 //!
@@ -56,21 +58,20 @@
 //! assert_eq!(outcome.report.n_races(), 1);
 //! ```
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rvtrace::{
-    salvage_trace, validate_wait_links, BoundaryTracker, IngestStats, JsonError, RaceSignature,
-    SalvageReport, StraddlePlan, StreamParser, Trace, WindowBoundary,
+    salvage_trace, validate_wait_links, IngestStats, JsonError, SalvageReport, StreamParser, Trace,
+    WindowCursor, WindowJob,
 };
 
-use crate::config::{DetectorConfig, WindowMode};
-use crate::detector::{panic_reason, PublishedSet, RaceDetector, WindowResult};
+use crate::config::DetectorConfig;
+use crate::detector::{InOrderMerge, PublishedSet, RaceDetector, WindowResult};
 use crate::metrics::Metrics;
 use crate::report::DetectionReport;
 
@@ -147,19 +148,14 @@ pub struct SessionOutcome {
 /// receiving results (the sender errors are ignored).
 struct SessionJob {
     session: u64,
-    index: usize,
-    range: Range<usize>,
-    boundary: WindowBoundary,
-    /// The window's straddle plan (cone mode only) — computed by the
-    /// session's sequential tracker, so it is identical to the standalone
-    /// drivers' plans regardless of pool size or co-tenant mix.
-    plan: Option<StraddlePlan>,
+    /// The window, from the session's sequential cursor — identical to the
+    /// standalone drivers' jobs regardless of pool size or co-tenant mix.
+    job: WindowJob,
     trace: Arc<Trace>,
+    /// The session's detector, or its shedding twin for a shed window.
     detector: Arc<RaceDetector>,
-    shed_detector: Arc<RaceDetector>,
     published: Arc<PublishedSet>,
     out: mpsc::Sender<WindowResult>,
-    shed: bool,
 }
 
 /// The scheduler: per-session FIFO queues plus a round-robin rotation of
@@ -271,6 +267,10 @@ impl SessionManager {
 
     /// Opens a session: a fresh parser, window cursor, published set and
     /// metrics registry, multiplexed onto the shared pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configured window size is zero.
     pub fn open_session(&self, config: SessionConfig) -> Session {
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
         let mut detector_cfg = config.detector.clone();
@@ -289,30 +289,26 @@ impl SessionManager {
         // document, and the count-type sections (counters, histograms)
         // must stay byte-identical to a solo run's.
         metrics.gauge_max("session.opened", 1);
+        let detector = RaceDetector::with_config(detector_cfg);
+        let start = Instant::now();
         Session {
             id,
             shared: self.shared.clone(),
-            detector: Arc::new(RaceDetector::with_config(detector_cfg)),
+            cursor: detector.cursor(),
+            detector: Arc::new(detector),
             shed_detector: Arc::new(RaceDetector::with_config(shed_cfg)),
             config,
             parser: StreamParser::new(),
-            boundary: None,
-            tracker: None,
-            next_start: 0,
-            next_index: 0,
             submitted: 0,
             received: 0,
-            merge_cursor: 0,
             peak_resident: 0,
             shed_windows: 0,
             published: Arc::new(PublishedSet::new()),
             out_tx,
             out_rx,
-            report: DetectionReport::default(),
-            confirmed: HashSet::new(),
-            pending: BTreeMap::new(),
+            merge: InOrderMerge::new(start),
             metrics,
-            start: Instant::now(),
+            start,
         }
     }
 }
@@ -329,16 +325,10 @@ impl Drop for SessionManager {
             s.rr.clear();
             s.total_pending = 0;
         }
-        self.ready_all();
+        self.shared.ready.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-    }
-}
-
-impl SessionManager {
-    fn ready_all(&self) {
-        self.shared.ready.notify_all();
     }
 }
 
@@ -360,30 +350,9 @@ fn worker_loop(shared: &PoolShared) {
                 s = shared.ready.wait(s).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let SessionJob {
-            index,
-            range,
-            boundary,
-            plan,
-            trace,
-            detector,
-            shed_detector,
-            published,
-            out,
-            shed,
-            ..
-        } = job;
-        let fallback_range = range.clone();
-        let solve = std::panic::AssertUnwindSafe(|| {
-            let det = if shed { &shed_detector } else { &detector };
-            let view = boundary.view(&trace, range);
-            det.solve_window_result(index, &view, plan.as_ref(), Some(&published))
-        });
-        let result = std::panic::catch_unwind(solve).unwrap_or_else(|payload| {
-            WindowResult::failed(index, fallback_range, panic_reason(payload.as_ref()))
-        });
+        let result = job.detector.solve_job(&job.job, &job.trace, &job.published);
         // A retired session dropped its receiver; nobody wants the result.
-        let _ = out.send(result);
+        let _ = job.out.send(result);
     }
 }
 
@@ -398,23 +367,15 @@ pub struct Session {
     shed_detector: Arc<RaceDetector>,
     config: SessionConfig,
     parser: StreamParser,
-    boundary: Option<WindowBoundary>,
-    /// The straddle tracker (cone mode only), advanced in lockstep with
-    /// `boundary` as windows are dispatched.
-    tracker: Option<BoundaryTracker>,
-    next_start: usize,
-    next_index: usize,
+    cursor: WindowCursor,
     submitted: usize,
     received: usize,
-    merge_cursor: usize,
     peak_resident: usize,
     shed_windows: u64,
     published: Arc<PublishedSet>,
     out_tx: mpsc::Sender<WindowResult>,
     out_rx: mpsc::Receiver<WindowResult>,
-    report: DetectionReport,
-    confirmed: HashSet<RaceSignature>,
-    pending: BTreeMap<usize, WindowResult>,
+    merge: InOrderMerge,
     metrics: Metrics,
     start: Instant,
 }
@@ -424,7 +385,7 @@ impl fmt::Debug for Session {
         f.debug_struct("Session")
             .field("id", &self.id)
             .field("submitted", &self.submitted)
-            .field("merged", &self.merge_cursor)
+            .field("merged", &self.merge.merged())
             .finish()
     }
 }
@@ -454,79 +415,39 @@ impl Session {
     }
 
     /// Dispatches every complete window the parser has accumulated,
-    /// mirroring `detect_stream`: gated on the metadata (boundary state
-    /// needs the initial values), solving against prefix snapshots.
+    /// exactly as `detect_stream` does: gated on the metadata (boundary
+    /// state needs the initial values), solving against prefix snapshots.
     fn dispatch_ready(&mut self) {
-        let size = self.detector.config().window_size.max(1);
-        if !self.parser.metadata_complete() || self.parser.events().len() < self.next_start + size {
+        let len = self.parser.events().len();
+        if !self.parser.metadata_complete() || self.cursor.next_range(len, false).is_none() {
             return;
         }
         let snapshot = Arc::new(Trace::from_data(self.parser.data().clone()));
-        let mut boundary = self.boundary.take().unwrap_or_else(|| {
-            WindowBoundary::from_initial_values(&snapshot.data().initial_values)
-        });
-        if self.cone_mode() && self.tracker.is_none() {
-            self.tracker = Some(BoundaryTracker::new(
-                WindowBoundary::from_initial_values(&snapshot.data().initial_values),
-                self.detector.config().spill_events(),
-            ));
+        while let Some(job) = self.cursor.next(&snapshot, false) {
+            self.submit(job, snapshot.clone());
         }
-        while self.next_start + size <= snapshot.len() {
-            let range = self.next_start..self.next_start + size;
-            let job_boundary = boundary.clone();
-            let plan = self.tracker.as_ref().and_then(|t| {
-                t.plan(snapshot.events(), range.clone(), |v| {
-                    snapshot.is_volatile(v)
-                })
-            });
-            if let Some(t) = self.tracker.as_mut() {
-                t.advance(snapshot.events(), range.clone());
-            }
-            boundary.advance(snapshot.events(), range.clone());
-            self.next_start += size;
-            self.submit(range, job_boundary, plan, snapshot.clone());
-        }
-        self.boundary = Some(boundary);
-    }
-
-    /// True when cross-boundary prediction (`--window-mode cone`) is on
-    /// for this session's detector.
-    fn cone_mode(&self) -> bool {
-        self.detector.config().window_mode == WindowMode::Cone
     }
 
     /// Submits one window to the pool, applying backpressure first: while
     /// this session is at its residency cap, block merging its own results
     /// (stalling only this stream's ingest).
-    fn submit(
-        &mut self,
-        range: Range<usize>,
-        boundary: WindowBoundary,
-        plan: Option<StraddlePlan>,
-        trace: Arc<Trace>,
-    ) {
-        while self.in_flight() >= self.config.max_resident_windows.max(1) {
-            let result = self
-                .out_rx
-                .recv()
-                .expect("solver pool shut down with windows in flight");
-            self.absorb(result);
-        }
+    fn submit(&mut self, job: WindowJob, trace: Arc<Trace>) {
+        self.merge_down_to(self.config.max_resident_windows.max(1) - 1);
         let shed = {
             let mut s = self.shared.lock();
             let shed = s.total_pending >= self.shared.shed_threshold;
+            let detector = if shed {
+                &self.shed_detector
+            } else {
+                &self.detector
+            };
             s.push_job(SessionJob {
                 session: self.id,
-                index: self.next_index,
-                range,
-                boundary,
-                plan,
+                job,
                 trace,
-                detector: self.detector.clone(),
-                shed_detector: self.shed_detector.clone(),
+                detector: detector.clone(),
                 published: self.published.clone(),
                 out: self.out_tx.clone(),
-                shed,
             });
             self.shared.ready.notify_one();
             shed
@@ -534,40 +455,22 @@ impl Session {
         if shed {
             self.shed_windows += 1;
         }
-        self.next_index += 1;
         self.submitted += 1;
         self.peak_resident = self.peak_resident.max(self.in_flight());
     }
 
-    /// Buffers one result and merges everything now contiguous, in window
-    /// order — the replay that keeps reports deterministic.
-    fn absorb(&mut self, result: WindowResult) {
-        self.received += 1;
-        self.pending.insert(result.window_index(), result);
-        while let Some(result) = self.pending.remove(&self.merge_cursor) {
-            self.detector.merge_window_result(
-                result,
-                &mut self.report,
-                &mut self.confirmed,
-                Some(&self.published),
-            );
-            self.merge_cursor += 1;
-        }
-        if self.report.stats.time_to_first_race.is_none() && !self.report.races.is_empty() {
-            self.report.stats.time_to_first_race = Some(self.start.elapsed());
-        }
-    }
-
-    /// Blocks until every submitted window has merged.
-    fn drain(&mut self) {
-        while self.received < self.submitted {
+    /// Blocks merging this session's results, in window order — the
+    /// replay that keeps reports deterministic — until at most `limit`
+    /// windows are in flight.
+    fn merge_down_to(&mut self, limit: usize) {
+        while self.in_flight() > limit {
             let result = self
                 .out_rx
                 .recv()
                 .expect("solver pool shut down with windows in flight");
-            self.absorb(result);
+            self.received += 1;
+            self.merge.push(&self.detector, result, &self.published);
         }
-        debug_assert!(self.pending.is_empty(), "every window outcome merged");
     }
 
     /// Ends the stream: completes the parse, dispatches the tail window,
@@ -586,34 +489,11 @@ impl Session {
             validate_wait_links(parser.data())?;
             (Arc::new(Trace::from_data(parser.into_data())), None)
         };
-        let size = self.detector.config().window_size.max(1);
-        let mut boundary = self
-            .boundary
-            .take()
-            .unwrap_or_else(|| WindowBoundary::from_initial_values(&trace.data().initial_values));
-        if self.cone_mode() && self.tracker.is_none() {
-            self.tracker = Some(BoundaryTracker::new(
-                WindowBoundary::from_initial_values(&trace.data().initial_values),
-                self.detector.config().spill_events(),
-            ));
+        while let Some(job) = self.cursor.next(&trace, true) {
+            self.submit(job, trace.clone());
         }
-        while self.next_start < trace.len() {
-            let end = (self.next_start + size).min(trace.len());
-            let range = self.next_start..end;
-            let job_boundary = boundary.clone();
-            let plan = self
-                .tracker
-                .as_ref()
-                .and_then(|t| t.plan(trace.events(), range.clone(), |v| trace.is_volatile(v)));
-            if let Some(t) = self.tracker.as_mut() {
-                t.advance(trace.events(), range.clone());
-            }
-            boundary.advance(trace.events(), range.clone());
-            self.next_start = end;
-            self.submit(range, job_boundary, plan, trace.clone());
-        }
-        self.drain();
-        let mut report = std::mem::take(&mut self.report);
+        self.merge_down_to(0);
+        let mut report = self.merge.take_report();
         report.stats.peak_window_residency = self.peak_resident;
         report.stats.wall_time = self.start.elapsed();
         self.metrics
@@ -770,21 +650,21 @@ mod tests {
         let mut sched = Sched::default();
         let (tx, _rx) = mpsc::channel();
         let trace = Arc::new(racy_trace(1));
-        let boundary = WindowBoundary::from_initial_values(&trace.data().initial_values);
+        let job = WindowCursor::new(trace.len(), None)
+            .next(&trace, true)
+            .expect("one window");
         let det = Arc::new(RaceDetector::new());
         let mut push = |session: u64, index: usize| {
             sched.push_job(SessionJob {
                 session,
-                index,
-                range: 0..1,
-                boundary: boundary.clone(),
-                plan: None,
+                job: WindowJob {
+                    index,
+                    ..job.clone()
+                },
                 trace: trace.clone(),
                 detector: det.clone(),
-                shed_detector: det.clone(),
                 published: Arc::new(PublishedSet::new()),
                 out: tx.clone(),
-                shed: false,
             });
         };
         // Session 0 floods; session 1 trickles.
@@ -793,7 +673,7 @@ mod tests {
         }
         push(1, 0);
         let order: Vec<(u64, usize)> = std::iter::from_fn(|| sched.pop_job())
-            .map(|j| (j.session, j.index))
+            .map(|j| (j.session, j.job.index))
             .collect();
         assert_eq!(order, vec![(0, 0), (1, 0), (0, 1), (0, 2)]);
         assert_eq!(sched.total_pending, 0);

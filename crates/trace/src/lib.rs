@@ -75,5 +75,5 @@ pub use trace::{MsgLink, Trace, TraceData, TraceStats, WaitLink};
 pub use vector_clock::VectorClock;
 pub use view::{
     BoundarySpill, BoundaryTracker, CsSpan, StraddlePlan, View, ViewExt, WindowBoundary,
-    WindowStream,
+    WindowCursor, WindowJob, WindowStream,
 };

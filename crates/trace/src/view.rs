@@ -37,12 +37,12 @@ pub struct CsSpan {
 /// Running state carried across window boundaries: variable values and
 /// held locks at a window's start.
 ///
-/// Public so streaming drivers can materialize window [`View`]s one at a
-/// time — advance the boundary over each window's events as they arrive
-/// (no trace-length state beyond this struct), and build the next window's
-/// view from it. [`WindowStream`] packages the common case; the streaming
-/// detector threads a boundary through trace *prefixes* as the parser
-/// produces them.
+/// Public so drivers can materialize window [`View`]s one at a time —
+/// advance the boundary over each window's events as they arrive (no
+/// trace-length state beyond this struct), and build the next window's
+/// view from it. [`WindowCursor`] threads one through every window walk,
+/// over complete traces and over the prefixes a streaming parser
+/// produces alike.
 #[derive(Debug, Clone)]
 pub struct WindowBoundary {
     values: Vec<Value>,
@@ -612,20 +612,141 @@ impl<'a> View<'a> {
     }
 }
 
-/// Lazy iterator of fixed-size window [`View`]s over a trace.
+/// One window of detection work, as yielded by [`WindowCursor::next`]:
+/// its index, its event range, the boundary state at its start and (cone
+/// mode) its straddle plan. A window's view is a pure function of these
+/// and the events of `range`, so any trace prefix that covers `range`
+/// builds the same view as the complete trace.
+#[derive(Debug, Clone)]
+pub struct WindowJob {
+    /// The window's index (the merge-order key).
+    pub index: usize,
+    /// The window's event range.
+    pub range: Range<usize>,
+    /// Values and held locks at the window's start.
+    pub boundary: WindowBoundary,
+    /// The window's straddle plan: always `None` in fixed mode, and in
+    /// cone mode for every window no conflicting pair crosses into.
+    pub plan: Option<StraddlePlan>,
+}
+
+impl WindowJob {
+    /// The window's view over `trace` (or any prefix covering `range`).
+    pub fn view<'a>(&self, trace: &'a Trace) -> View<'a> {
+        self.boundary.view(trace, self.range.clone())
+    }
+}
+
+/// What a [`WindowCursor`] carries from one window to the next.
+#[derive(Debug, Clone)]
+enum Carry {
+    /// Fixed mode: the boundary alone.
+    Fixed(WindowBoundary),
+    /// Cone mode: the straddle tracker, whose own boundary is the carried
+    /// one.
+    Cone(BoundaryTracker),
+}
+
+/// The window walk every detection driver runs: fixed-size windows in
+/// trace order, each with its start boundary and (cone mode) its straddle
+/// plan.
 ///
-/// Each call to [`next`](Iterator::next) materializes exactly one window
-/// and advances the carried [`WindowBoundary`], so at most one view's
-/// indexes exist per un-consumed item — the pipelined detector holds a
-/// bounded number of in-flight views instead of the eager whole-trace
-/// `Vec<View>` that [`ViewExt::windows`] builds. The views produced are
-/// identical to the corresponding `windows(size)` elements.
+/// The cursor holds no events. Each [`next`](WindowCursor::next) call is
+/// given the trace as far as it is known — a complete trace, or a prefix
+/// snapshot of one still being read — and yields the next window once its
+/// events exist. The carried state starts from the trace's metadata
+/// (`initial_values`), so prefixes and complete traces take the same path
+/// and yield identical jobs.
+#[derive(Debug, Clone)]
+pub struct WindowCursor {
+    size: usize,
+    /// Cone mode's lookback budget in events; `None` in fixed mode.
+    spill_events: Option<usize>,
+    index: usize,
+    start: usize,
+    /// Seeded from the first trace handed to `next`.
+    carry: Option<Carry>,
+}
+
+impl WindowCursor {
+    /// A cursor over `size`-event windows. With `spill_events` set it runs
+    /// in cone mode, planning boundary-straddling pairs within that many
+    /// events of lookback; with `None` it runs in fixed mode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `size == 0`.
+    pub fn new(size: usize, spill_events: Option<usize>) -> Self {
+        assert!(size > 0, "window size must be nonzero");
+        WindowCursor {
+            size,
+            spill_events,
+            index: 0,
+            start: 0,
+            carry: None,
+        }
+    }
+
+    /// The range of the next window of a trace whose first `len` events
+    /// are known, or `None` when that window is not available yet: a
+    /// full window needs all its events, and the short tail is only
+    /// yielded once the trace is `complete`.
+    pub fn next_range(&self, len: usize, complete: bool) -> Option<Range<usize>> {
+        let end = self.start.saturating_add(self.size);
+        if end <= len {
+            Some(self.start..end)
+        } else {
+            (complete && self.start < len).then_some(self.start..len)
+        }
+    }
+
+    /// The next window of `trace`, advancing the carried state over it.
+    /// `trace` must extend every trace given to earlier calls (a longer
+    /// prefix of the same events and metadata, or the complete trace).
+    pub fn next(&mut self, trace: &Trace, complete: bool) -> Option<WindowJob> {
+        let range = self.next_range(trace.len(), complete)?;
+        let spill_events = self.spill_events;
+        let carry = self.carry.get_or_insert_with(|| {
+            let initial = WindowBoundary::from_initial_values(&trace.data().initial_values);
+            match spill_events {
+                Some(spill) => Carry::Cone(BoundaryTracker::new(initial, spill)),
+                None => Carry::Fixed(initial),
+            }
+        });
+        let events = trace.events();
+        let (boundary, plan) = match carry {
+            Carry::Fixed(boundary) => {
+                let start = boundary.clone();
+                boundary.advance(events, range.clone());
+                (start, None)
+            }
+            Carry::Cone(tracker) => {
+                let plan = tracker.plan(events, range.clone(), |v| trace.is_volatile(v));
+                let start = tracker.boundary().clone();
+                tracker.advance(events, range.clone());
+                (start, plan)
+            }
+        };
+        let job = WindowJob {
+            index: self.index,
+            range,
+            boundary,
+            plan,
+        };
+        self.index += 1;
+        self.start = job.range.end;
+        Some(job)
+    }
+}
+
+/// Lazy iterator of fixed-size window [`View`]s over a complete trace:
+/// the fixed-mode [`WindowCursor`] walk, materializing one view per
+/// [`next`](Iterator::next). The views produced are identical to the
+/// corresponding `windows(size)` elements.
 #[derive(Debug)]
 pub struct WindowStream<'a> {
     trace: &'a Trace,
-    size: usize,
-    start: usize,
-    boundary: WindowBoundary,
+    cursor: WindowCursor,
 }
 
 impl<'a> WindowStream<'a> {
@@ -636,25 +757,10 @@ impl<'a> WindowStream<'a> {
     ///
     /// Panics if `size == 0`.
     pub fn new(trace: &'a Trace, size: usize) -> Self {
-        assert!(size > 0, "window size must be nonzero");
         WindowStream {
             trace,
-            size,
-            start: 0,
-            boundary: WindowBoundary::initial(trace),
+            cursor: WindowCursor::new(size, None),
         }
-    }
-
-    /// The trace range the next window will cover, or `None` when the
-    /// stream is exhausted.
-    pub fn next_range(&self) -> Option<Range<usize>> {
-        (self.start < self.trace.len())
-            .then(|| self.start..(self.start + self.size).min(self.trace.len()))
-    }
-
-    /// The boundary state at the start of the next window.
-    pub fn boundary(&self) -> &WindowBoundary {
-        &self.boundary
     }
 }
 
@@ -662,11 +768,7 @@ impl<'a> Iterator for WindowStream<'a> {
     type Item = View<'a>;
 
     fn next(&mut self) -> Option<View<'a>> {
-        let range = self.next_range()?;
-        let view = self.boundary.view(self.trace, range.clone());
-        self.boundary.advance(self.trace.events(), range.clone());
-        self.start = range.end;
-        Some(view)
+        Some(self.cursor.next(self.trace, true)?.view(self.trace))
     }
 }
 
@@ -813,15 +915,15 @@ impl StraddlePlan {
     }
 }
 
-/// Cross-boundary state for dependence-bounded windowing, threaded by a
-/// window dispatcher alongside its [`WindowBoundary`]: last-access
-/// [`BoundarySpill`] tables, boundary checkpoints at past window starts,
-/// and the per-variable write tail that cone growth queries.
+/// Cross-boundary state for dependence-bounded windowing: the carried
+/// [`WindowBoundary`], last-access [`BoundarySpill`] tables, boundary
+/// checkpoints at past window starts, and the per-variable write tail that
+/// cone growth queries. [`WindowCursor`] drives one in cone mode.
 ///
 /// Protocol per window `range` (in order): [`plan`](BoundaryTracker::plan)
 /// first, then [`advance`](BoundaryTracker::advance). Both are
 /// deterministic functions of the event prefix, so plans are identical
-/// across eager, pipelined, streamed, and session drivers at any
+/// for every driver — whole-file, streamed or session — at any
 /// parallelism.
 #[derive(Debug, Clone)]
 pub struct BoundaryTracker {
@@ -984,14 +1086,6 @@ pub trait ViewExt {
     ///
     /// Panics if `size == 0`.
     fn windows(&self, size: usize) -> Vec<View<'_>>;
-
-    /// A lazy [`WindowStream`] over the same windows `windows(size)`
-    /// returns, materializing one [`View`] at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size == 0`.
-    fn window_stream(&self, size: usize) -> WindowStream<'_>;
 }
 
 impl ViewExt for Trace {
@@ -1000,11 +1094,7 @@ impl ViewExt for Trace {
     }
 
     fn windows(&self, size: usize) -> Vec<View<'_>> {
-        self.window_stream(size).collect()
-    }
-
-    fn window_stream(&self, size: usize) -> WindowStream<'_> {
-        WindowStream::new(self, size)
+        WindowStream::new(self, size).collect()
     }
 }
 
@@ -1166,40 +1256,62 @@ mod tests {
         assert!(tiny.split().is_none());
     }
 
+    /// The cursor yields the same jobs walking growing prefixes (full
+    /// windows only, the tail once complete) as walking the complete
+    /// trace, in both modes; its views match a hand-advanced boundary's
+    /// and its plans a hand-driven tracker's.
     #[test]
-    fn window_stream_matches_eager_windows() {
-        let (tr, _) = sample();
-        for size in [1, 2, 3, 4, tr.len(), tr.len() + 7] {
-            let eager = tr.windows(size);
-            let streamed: Vec<View<'_>> = tr.window_stream(size).collect();
-            assert_eq!(eager.len(), streamed.len(), "size={size}");
-            for (e, s) in eager.iter().zip(&streamed) {
-                assert_eq!(e.range(), s.range(), "size={size}");
-                assert_eq!(e.held_at_start(), s.held_at_start(), "size={size}");
-                for v in 0..tr.n_vars() as u32 {
-                    assert_eq!(
-                        e.initial_value(VarId(v)),
-                        s.initial_value(VarId(v)),
-                        "size={size} var={v}"
-                    );
-                }
-                for id in e.ids() {
-                    assert_eq!(e.lockset(id), s.lockset(id), "size={size} {id}");
-                    assert_eq!(e.clock(id), s.clock(id), "size={size} {id}");
+    fn cursor_jobs_match_over_prefixes_and_by_hand() {
+        for tr in [sample().0, straddling_trace()] {
+            for (size, spill) in [1, 2, 3, 4, tr.len(), tr.len() + 7]
+                .into_iter()
+                .flat_map(|size| [(size, None), (size, Some(1024))])
+            {
+                let walk = |prefixes: bool| {
+                    let mut cursor = WindowCursor::new(size, spill);
+                    let mut jobs = Vec::new();
+                    for k in (0..tr.len()).filter(|_| prefixes) {
+                        let events = tr.events()[..k].to_vec();
+                        let data = crate::trace::TraceData {
+                            events,
+                            ..tr.data().clone()
+                        };
+                        let prefix = Trace::from_data(data);
+                        jobs.extend(std::iter::from_fn(|| cursor.next(&prefix, false)));
+                    }
+                    jobs.extend(std::iter::from_fn(|| cursor.next(&tr, true)));
+                    jobs
+                };
+                let (whole, streamed) = (walk(false), walk(true));
+                assert_eq!(whole.len(), tr.len().div_ceil(size), "size={size}");
+                assert_eq!(streamed.len(), whole.len(), "size={size}");
+                let mut boundary = WindowBoundary::initial(&tr);
+                let mut tracker = BoundaryTracker::new(WindowBoundary::initial(&tr), 1024);
+                let plan = |p: Option<&StraddlePlan>| p.map(|p| (p.cops.clone(), p.ext_start));
+                for (i, (w, s)) in whole.iter().zip(&streamed).enumerate() {
+                    let ctx = format!("size={size} spill={spill:?} window={i}");
+                    let vol = |v: VarId| tr.is_volatile(v);
+                    let by_hand = spill.and(tracker.plan(tr.events(), w.range.clone(), vol));
+                    tracker.advance(tr.events(), w.range.clone());
+                    let reference = boundary.view(&tr, w.range.clone());
+                    boundary.advance(tr.events(), w.range.clone());
+                    for job in [w, s] {
+                        assert_eq!(job.index, i, "{ctx}");
+                        assert_eq!(plan(job.plan.as_ref()), plan(by_hand.as_ref()), "{ctx}");
+                        let v = job.view(&tr);
+                        assert_eq!(v.range(), reference.range(), "{ctx}");
+                        assert_eq!(v.held_at_start(), reference.held_at_start(), "{ctx}");
+                        for var in (0..tr.n_vars() as u32).map(VarId) {
+                            assert_eq!(v.initial_value(var), reference.initial_value(var), "{ctx}");
+                        }
+                        for id in v.ids() {
+                            assert_eq!(v.lockset(id), reference.lockset(id), "{ctx} {id}");
+                            assert_eq!(v.clock(id), reference.clock(id), "{ctx} {id}");
+                        }
+                    }
                 }
             }
         }
-    }
-
-    #[test]
-    fn window_stream_reports_next_range() {
-        let (tr, _) = sample();
-        let mut ws = tr.window_stream(4);
-        assert_eq!(ws.next_range(), Some(0..4));
-        ws.next();
-        assert_eq!(ws.next_range(), Some(4..8));
-        while ws.next().is_some() {}
-        assert_eq!(ws.next_range(), None);
     }
 
     #[test]

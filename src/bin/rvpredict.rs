@@ -222,6 +222,9 @@ fn parse_args() -> Result<Options, String> {
                     .ok_or("--window needs a value")?
                     .parse()
                     .map_err(|e| format!("--window: {e}"))?;
+                if opts.window == 0 {
+                    return Err("--window must be at least 1".into());
+                }
                 i += 2;
             }
             "--budget" => {
@@ -385,7 +388,7 @@ fn salvage(raw: TraceData, metrics: &mut Metrics, log: &PhaseLog) -> Trace {
     if !report.is_clean() {
         eprintln!("{report}");
     }
-    record_trace_metrics(&trace, metrics);
+    driver::record_trace_metrics(&trace, metrics);
     trace
 }
 
@@ -400,102 +403,56 @@ fn salvage(raw: TraceData, metrics: &mut Metrics, log: &PhaseLog) -> Trace {
 fn load_trace(opts: &Options, metrics: &mut Metrics, log: &PhaseLog) -> Result<Trace, ExitCode> {
     if opts.demo {
         let trace = rvsim::workloads::figures::figure1().trace;
-        record_trace_metrics(&trace, metrics);
+        driver::record_trace_metrics(&trace, metrics);
         return Ok(trace);
     }
     let Some(path) = &opts.path else {
         usage();
         return Err(ExitCode::from(EXIT_USAGE));
     };
-    if opts.stream {
+    let decoded = if opts.stream {
         // Incremental ingestion (JSON or NDJSON, auto-detected): the
         // parser never holds more than one buffered chunk beyond the
         // decoded events.
-        let reader = open_reader(path)?;
-        let (raw, ingest) = match rvpredict::read_trace_data(reader) {
-            Ok(ok) => ok,
-            Err(e) => {
-                eprintln!("error: {path} is not a serialized trace: {e}");
-                return Err(ExitCode::from(EXIT_USAGE));
-            }
-        };
-        record_ingest_metrics(&ingest, metrics);
-        log.log(&format!(
-            "parsed {} events from {} bytes in {:?}",
-            ingest.events, ingest.bytes, ingest.parse_time
-        ));
-        if opts.lenient {
-            return Ok(salvage(raw, metrics, log));
-        }
-        if let Err(e) = rvpredict::validate_wait_links(&raw) {
-            eprintln!("error: {path} is not a serialized trace: {e}");
-            return Err(ExitCode::from(EXIT_USAGE));
-        }
-        let trace = Trace::from_data(raw);
-        reject_inconsistent(&trace)?;
-        record_trace_metrics(&trace, metrics);
-        return Ok(trace);
-    }
-    let data = if path == "-" {
-        let mut buf = String::new();
-        match std::io::Read::read_to_string(&mut std::io::stdin(), &mut buf) {
-            Ok(_) => buf,
-            Err(e) => {
-                eprintln!("error: cannot read {path}: {e}");
-                return Err(ExitCode::from(EXIT_USAGE));
-            }
-        }
+        rvpredict::read_trace_data(open_reader(path)?)
     } else {
-        match std::fs::read_to_string(path) {
-            Ok(d) => d,
+        let read = if path == "-" {
+            let mut buf = String::new();
+            std::io::Read::read_to_string(&mut std::io::stdin(), &mut buf).map(|_| buf)
+        } else {
+            std::fs::read_to_string(path)
+        };
+        match read {
+            Ok(data) => rvpredict::from_json_data_with_stats(&data),
             Err(e) => {
                 eprintln!("error: cannot read {path}: {e}");
                 return Err(ExitCode::from(EXIT_USAGE));
             }
         }
     };
+    let (raw, ingest) = match decoded {
+        Ok(ok) => ok,
+        Err(e) => {
+            eprintln!("error: {path} is not a serialized trace: {e}");
+            return Err(ExitCode::from(EXIT_USAGE));
+        }
+    };
+    driver::record_ingest_metrics(&ingest, metrics);
+    log.log(&format!(
+        "parsed {} events from {} bytes in {:?}",
+        ingest.events, ingest.bytes, ingest.parse_time
+    ));
     if opts.lenient {
-        let (raw, ingest) = match rvpredict::from_json_data_with_stats(&data) {
-            Ok(ok) => ok,
-            Err(e) => {
-                eprintln!("error: {path} is not a serialized trace: {e}");
-                return Err(ExitCode::from(EXIT_USAGE));
-            }
-        };
-        record_ingest_metrics(&ingest, metrics);
-        log.log(&format!(
-            "parsed {} events from {} bytes in {:?}",
-            ingest.events, ingest.bytes, ingest.parse_time
-        ));
-        Ok(salvage(raw, metrics, log))
-    } else {
-        let (trace, ingest) = match rvpredict::from_json_with_stats(&data) {
-            Ok(ok) => ok,
-            Err(e) => {
-                eprintln!("error: {path} is not a serialized trace: {e}");
-                return Err(ExitCode::from(EXIT_USAGE));
-            }
-        };
-        record_ingest_metrics(&ingest, metrics);
-        log.log(&format!(
-            "parsed {} events from {} bytes in {:?}",
-            ingest.events, ingest.bytes, ingest.parse_time
-        ));
-        reject_inconsistent(&trace)?;
-        record_trace_metrics(&trace, metrics);
-        Ok(trace)
+        return Ok(salvage(raw, metrics, log));
     }
-}
-
-/// Folds one [`rvpredict::IngestStats`] into the registry.
-fn record_ingest_metrics(ingest: &rvpredict::IngestStats, metrics: &mut Metrics) {
-    driver::record_ingest_metrics(ingest, metrics);
-}
-
-/// Event totals and the per-kind breakdown of the (possibly salvaged)
-/// trace detection will run on.
-fn record_trace_metrics(trace: &Trace, metrics: &mut Metrics) {
-    driver::record_trace_metrics(trace, metrics);
+    if let Err(e) = rvpredict::validate_wait_links(&raw) {
+        eprintln!("error: {path} is not a serialized trace: {e}");
+        return Err(ExitCode::from(EXIT_USAGE));
+    }
+    let trace = Trace::from_data(raw);
+    reject_inconsistent(&trace)?;
+    driver::record_trace_metrics(&trace, metrics);
+    Ok(trace)
 }
 
 /// Writes the metrics document, mapping an IO failure to [`EXIT_USAGE`].
@@ -521,8 +478,8 @@ fn build_rv_config(opts: &Options) -> rvpredict::DetectorConfig {
 
 /// Prints the maximal detector's report, folds it into the metrics
 /// registry, and maps the outcome to an exit code. Shared by the
-/// whole-file, pipelined and streaming drivers so their stdout is
-/// byte-identical by construction.
+/// whole-file and streaming drivers so their stdout is byte-identical by
+/// construction.
 fn report_rv(
     report: &DetectionReport,
     trace: &Trace,
@@ -581,12 +538,12 @@ fn run_stream_rv(opts: &Options, metrics: &mut Metrics, log: &PhaseLog) -> ExitC
     if let Err(code) = reject_inconsistent(&detection.trace) {
         return code;
     }
-    record_ingest_metrics(&detection.ingest, metrics);
+    driver::record_ingest_metrics(&detection.ingest, metrics);
     log.log(&format!(
         "parsed {} events from {} bytes in {:?} (solving overlapped)",
         detection.ingest.events, detection.ingest.bytes, detection.ingest.parse_time
     ));
-    record_trace_metrics(&detection.trace, metrics);
+    driver::record_trace_metrics(&detection.trace, metrics);
     print!("{}", driver::trace_line(&detection.trace));
     report_rv(&detection.report, &detection.trace, opts, metrics, log)
 }
@@ -718,10 +675,11 @@ fn main() -> ExitCode {
         return run_client(&opts, &log);
     }
 
-    // Strict `rv --stream` never materializes the windows up front: it
-    // goes through the incremental parser + pipelined worker pool.
-    // (`--lenient --stream` must see the whole trace before salvage can
-    // run, so it streams the parse, salvages, then pipelines the solve.)
+    // Strict `rv --stream` overlaps solving with parsing: it goes through
+    // the incremental parser and `detect_stream`. (`--lenient --stream`
+    // must see the whole trace before salvage can run, and `--kind`'s
+    // other classes need it too, so those stream the parse and then run
+    // `detect` on the complete trace.)
     if opts.stream
         && opts.detector == "rv"
         && opts.kind == driver::Kind::Race
@@ -752,15 +710,10 @@ fn main() -> ExitCode {
                 trace.len()
             ));
             if opts.kind == driver::Kind::Race {
-                let detector = RaceDetector::with_config(cfg);
-                let report = if opts.stream {
-                    detector.detect_pipelined(&trace)
-                } else {
-                    detector.detect(&trace)
-                };
+                let report = RaceDetector::with_config(cfg).detect(&trace);
                 return report_rv(&report, &trace, &opts, &mut metrics, &log);
             }
-            let run = driver::run_kinds(opts.kind, &trace, &cfg, opts.stream);
+            let run = driver::run_kinds(opts.kind, &trace, &cfg);
             print!(
                 "{}",
                 driver::render_kind_report(&run, &trace, opts.witnesses)

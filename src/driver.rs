@@ -138,8 +138,8 @@ pub fn trace_line(trace: &Trace) -> String {
 
 /// The maximal detector's stdout: the report summary and one line per
 /// race (plus the witness schedule under `--witnesses`). Shared by the
-/// whole-file, pipelined, streaming and daemon drivers, so their stdout
-/// is byte-identical by construction.
+/// whole-file, streaming and daemon drivers, so their stdout is
+/// byte-identical by construction.
 pub fn render_rv_report(report: &DetectionReport, trace: &Trace, witnesses: bool) -> String {
     let mut out = String::new();
     out.push_str(&format!("{report}\n"));
@@ -272,19 +272,14 @@ pub struct KindRun {
 }
 
 /// Runs the violation classes selected by `kind` over one trace with one
-/// shared configuration. Race detection honors the config's parallelism
-/// (and `pipelined` for the `--stream` path); the deadlock and atomicity
-/// analyses are windowed single-threaded passes, so their reports are
-/// deterministic at any `--jobs` by construction.
-pub fn run_kinds(kind: Kind, trace: &Trace, cfg: &DetectorConfig, pipelined: bool) -> KindRun {
+/// shared configuration. Race detection honors the config's parallelism;
+/// the deadlock and atomicity analyses are windowed single-threaded
+/// passes, so their reports are deterministic at any `--jobs` by
+/// construction.
+pub fn run_kinds(kind: Kind, trace: &Trace, cfg: &DetectorConfig) -> KindRun {
     let mut run = KindRun::default();
     if matches!(kind, Kind::Race | Kind::All) {
-        let detector = rvcore::RaceDetector::with_config(cfg.clone());
-        run.race = Some(if pipelined {
-            detector.detect_pipelined(trace)
-        } else {
-            detector.detect(trace)
-        });
+        run.race = Some(rvcore::RaceDetector::with_config(cfg.clone()).detect(trace));
     }
     if matches!(kind, Kind::Deadlock | Kind::All) {
         run.deadlock = Some(
@@ -588,7 +583,17 @@ impl SessionRequest {
         for (key, value) in obj {
             let r: Result<(), rvtrace::JsonError> = (|| {
                 match key.as_str() {
-                    "window" => req.window = value.as_int()? as usize,
+                    "window" => {
+                        let window = value.as_int()?;
+                        if window <= 0 {
+                            return Err(rvtrace::JsonError {
+                                message: format!("window must be positive, got {window}"),
+                                offset: 0,
+                                snippet: String::new(),
+                            });
+                        }
+                        req.window = window as usize;
+                    }
                     "budget_secs" => req.budget_secs = value.as_int()? as u64,
                     "timeout_ms" => req.timeout_ms = Some(value.as_int()? as u64),
                     "witnesses" => req.witnesses = value.as_bool()?,
@@ -842,6 +847,18 @@ mod tests {
             error: None,
         };
         assert_eq!(SessionResponse::from_json(&resp.to_json()).unwrap(), resp);
+    }
+
+    #[test]
+    fn nonpositive_window_requests_rejected() {
+        for bad in ["0", "-1", "-4294967296"] {
+            let err = SessionRequest::from_json(&format!("{{\"window\": {bad}}}")).unwrap_err();
+            assert!(err.contains("window must be positive"), "{bad}: {err}");
+        }
+        assert_eq!(
+            SessionRequest::from_json("{\"window\": 1}").unwrap().window,
+            1
+        );
     }
 
     #[test]

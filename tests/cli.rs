@@ -144,6 +144,39 @@ fn cli_rejects_removed_portfolio_flag() {
     assert!(err.contains("usage"), "{err}");
 }
 
+/// `--window 0` is a usage error (exit 2, usage text) in every mode —
+/// whole-file, streamed, streamed lenient and multi-kind — rather than a
+/// panic or a silent fall-back to 1-event windows.
+#[test]
+fn cli_rejects_zero_window_in_every_mode() {
+    let w = rvsim::workloads::figures::figure1();
+    let dir = std::env::temp_dir().join("rvpredict-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("figure1-window0.json");
+    std::fs::write(&path, rvpredict::to_json(&w.trace)).unwrap();
+    let path = path.to_str().unwrap();
+    for mode in [
+        &[][..],
+        &["--stream"][..],
+        &["--stream", "--lenient"][..],
+        &["--kind", "all"][..],
+    ] {
+        let out = Command::new(bin())
+            .args(mode)
+            .args(["--window", "0", path])
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{mode:?}: {err}");
+        assert!(
+            err.contains("--window must be at least 1"),
+            "{mode:?}: {err}"
+        );
+        assert!(err.contains("usage"), "{mode:?}: {err}");
+        assert!(out.stdout.is_empty(), "{mode:?}");
+    }
+}
+
 /// `--kind` admits exactly `race|deadlock|atomicity|all`; anything else is
 /// a usage error (exit 2) that names the flag, and a missing value is too.
 #[test]

@@ -305,6 +305,37 @@ fn deeply_nested_trace_fails_only_its_session() {
     assert_eq!(code, 0);
 }
 
+/// A session request whose window is not positive is answered with a
+/// usage error (exit 2) instead of reaching a window walk, and the daemon
+/// goes on to serve the next client.
+#[test]
+fn nonpositive_window_request_is_rejected_and_daemon_serves_on() {
+    let path = trace_path("daemon-after-window0.ndjson");
+    let (daemon, sock) = spawn_daemon("window0", &["--once", "4"]);
+    for header in [
+        r#"{"window": 0, "kind": "all"}"#.as_bytes(),
+        r#"{"window": -3}"#.as_bytes(),
+    ] {
+        let mut s = UnixStream::connect(&sock).unwrap();
+        write_frame(&mut s, header).unwrap();
+        s.flush().unwrap();
+        let resp = rvpredict::read_frame(&mut s)
+            .expect("daemon responds to a bad window")
+            .expect("a response frame, not EOF");
+        let resp =
+            rvpredict::driver::SessionResponse::from_json(std::str::from_utf8(&resp).unwrap())
+                .unwrap();
+        assert_eq!(resp.exit, 2, "{resp:?}");
+        assert!(resp.stderr.contains("window must be positive"), "{resp:?}");
+    }
+    let solo = run(&["--stream", "--window", "300", &path]);
+    let conn = run(&["--connect", &sock, "--window", "300", &path]);
+    assert_eq!(conn.status.code(), Some(1), "the next client is served");
+    assert_eq!(stripped_stdout(&conn), stripped_stdout(&solo));
+    let (code, _) = finish_daemon(daemon);
+    assert_eq!(code, 0);
+}
+
 /// `--connect` usage errors: non-rv detectors and `--demo` are rejected
 /// client-side, and a dead socket is a connection error — all exit 2.
 #[test]

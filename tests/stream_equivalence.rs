@@ -807,9 +807,11 @@ fn killed_session_leaves_neighbors_byte_identical() {
     }
 }
 
-/// Library-level contract: the three drivers (eager, pipelined, streamed)
+/// Library-level contract: whole-file, streamed and session detection
 /// render byte-identical `deterministic_summary` outputs at every
-/// parallelism level, with and without a fault plan.
+/// parallelism level, with and without a fault plan. The session leg
+/// keeps the two schedulers — `detect`'s scoped workers and the shared
+/// session pool — compared.
 #[test]
 fn drivers_render_identical_deterministic_summaries() {
     let trace = multi_window_trace();
@@ -829,15 +831,25 @@ fn drivers_render_identical_deterministic_summaries() {
                     Fault::Timeout,
                 )));
             }
+            let manager = SessionManager::new(jobs);
+            let mut session = manager.open_session(SessionConfig {
+                detector: cfg.clone(),
+                ..SessionConfig::default()
+            });
+            session.feed(json.as_bytes()).expect("valid trace feeds");
+            let pooled = session
+                .finish()
+                .expect("valid trace finishes")
+                .report
+                .deterministic_summary();
             let detector = RaceDetector::with_config(cfg);
             let eager = detector.detect(&trace).deterministic_summary();
-            let pipelined = detector.detect_pipelined(&trace).deterministic_summary();
             let streamed = detector
                 .detect_stream(json.as_bytes())
                 .expect("valid trace streams")
                 .report
                 .deterministic_summary();
-            assert_eq!(eager, pipelined, "faulty={faulty} jobs={jobs}");
+            assert_eq!(eager, pooled, "faulty={faulty} jobs={jobs}");
             assert_eq!(eager, streamed, "faulty={faulty} jobs={jobs}");
             let base = baseline.get_or_insert_with(|| eager.clone());
             assert_eq!(*base, eager, "faulty={faulty} jobs={jobs}");
